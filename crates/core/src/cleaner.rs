@@ -20,7 +20,7 @@ use crate::names::{
     ProductCandidate, ProductHeuristic, Verifier,
 };
 use crate::quality::{emit_issues, QualityLedger, QualitySink};
-use crate::severity::{backport_v3, BackportOptions, BackportOutcome};
+use crate::severity::{backport_v3, can_backport, BackportOptions, BackportOutcome};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -242,8 +242,9 @@ impl Cleaner {
         // recovered types).
         let cwe = rectify_cwe(&mut cleaned, &CweCatalog::builtin());
 
-        // §4.3 — severity backport.
-        let severity = if self.options.run_backport {
+        // §4.3 — severity backport (skipped while the corpus holds too
+        // little ground truth to train on).
+        let severity = if self.options.run_backport && can_backport(&cleaned) {
             Some(backport_v3(&cleaned, &self.options.backport))
         } else {
             None

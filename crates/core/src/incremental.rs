@@ -86,7 +86,7 @@ use crate::names::{
     VendorSweepCache, Verifier,
 };
 use crate::quality::QualityLedger;
-use crate::severity::backport_v3;
+use crate::severity::{backport_v3, can_backport};
 
 /// Hashing seed for the carried text-feature state, matching the type
 /// classifier's default so the maintained IDF is directly reusable there.
@@ -390,8 +390,9 @@ impl CleanState {
         let cwe: CweFixOutcome = apply_mined_cwe_ids(&mut cleaned, mined_per_entry);
 
         // §4.3 — severity backport: inherently whole-corpus (stratified
-        // split over the label population), re-run when enabled.
-        let severity = if self.options.run_backport {
+        // split over the label population), re-run when enabled and the
+        // accumulated corpus holds enough ground truth.
+        let severity = if self.options.run_backport && can_backport(&cleaned) {
             Some(backport_v3(&cleaned, &self.options.backport))
         } else {
             None
@@ -630,6 +631,44 @@ mod tests {
                 "cleaned database diverged after delta {i}"
             );
             // Debug formatting covers every report field, floats included.
+            assert_eq!(
+                format!("{:?}", inc.report),
+                format!("{:?}", batch.report),
+                "report diverged after delta {i}"
+            );
+            assert_eq!(
+                inc.ledger, batch.ledger,
+                "quality ledger diverged after delta {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn tiny_first_delta_skips_backport_then_matches_batch() {
+        // The backport stays on: a 10-entry first delta cannot hold the
+        // ground truth it needs, so it ingests with `severity: None`.
+        let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x1234), 2);
+        let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
+        let mut state = CleanState::new(CleanOptions::default());
+        let cleaner = Cleaner::default();
+
+        let base: Vec<_> = stream.base.iter().cloned().collect();
+        let mut steps: Vec<Vec<CveEntry>> = vec![base[..10].to_vec(), base[10..].to_vec()];
+        steps.extend(stream.feeds.iter().map(|f| f.entries()));
+
+        for (i, delta) in steps.iter().enumerate() {
+            let inc = state.apply_delta(delta, &stream.corpus.archive, &oracle);
+            assert_eq!(
+                inc.report.severity.is_some(),
+                i > 0,
+                "backport ran (or was skipped) wrongly after delta {i}"
+            );
+            let batch = cleaner.clean(state.database(), &stream.corpus.archive, &oracle);
+            assert_eq!(
+                inc.database.as_slice(),
+                batch.database.as_slice(),
+                "cleaned database diverged after delta {i}"
+            );
             assert_eq!(
                 format!("{:?}", inc.report),
                 format!("{:?}", batch.report),

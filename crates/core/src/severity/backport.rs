@@ -9,11 +9,24 @@ use std::collections::BTreeMap;
 
 use mlkit::data::{stratified_split_indices, Dataset};
 use mlkit::matrix::Matrix;
-use nvd_model::prelude::{CveId, Database, Severity};
+use nvd_model::prelude::{CveEntry, CveId, Database, Severity};
 
 use super::eval::{evaluate, transition_matrix, v3_band_index, EvalReport};
 use super::features::FeatureExtractor;
 use super::models::{ModelKind, SeverityModel, TrainProfile};
+
+/// Fewest ground-truth CVEs (those carrying both CVSS versions)
+/// [`backport_v3`] trains on. Cleaning skips the backport below it.
+pub const MIN_GROUND_TRUTH: usize = 20;
+
+/// Whether `db` holds enough ground truth for [`backport_v3`].
+pub fn can_backport(db: &Database) -> bool {
+    db.iter().filter(|e| is_ground_truth(e)).count() >= MIN_GROUND_TRUTH
+}
+
+fn is_ground_truth(e: &CveEntry) -> bool {
+    e.cvss_v2.is_some() && e.cvss_v3.is_some()
+}
 
 /// Options for [`backport_v3`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,17 +103,14 @@ impl BackportOutcome {
 ///
 /// # Panics
 ///
-/// Panics if fewer than 20 CVEs carry both CVSS versions (no ground truth
-/// to learn from).
+/// Panics if fewer than [`MIN_GROUND_TRUTH`] CVEs carry both CVSS
+/// versions (no ground truth to learn from; see [`can_backport`]).
 pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome {
     // --- assemble ground truth ------------------------------------------
-    let ground: Vec<_> = db
-        .iter()
-        .filter(|e| e.cvss_v2.is_some() && e.cvss_v3.is_some())
-        .collect();
+    let ground: Vec<_> = db.iter().filter(|e| is_ground_truth(e)).collect();
     assert!(
-        ground.len() >= 20,
-        "need at least 20 dual-scored CVEs, found {}",
+        ground.len() >= MIN_GROUND_TRUTH,
+        "need at least {MIN_GROUND_TRUTH} dual-scored CVEs, found {}",
         ground.len()
     );
 

@@ -12,7 +12,7 @@ pub mod eval;
 pub mod features;
 pub mod models;
 
-pub use backport::{backport_v3, BackportOptions, BackportOutcome};
+pub use backport::{backport_v3, can_backport, BackportOptions, BackportOutcome, MIN_GROUND_TRUTH};
 pub use eval::{transition_matrix, EvalReport};
 pub use features::{FeatureExtractor, FEATURE_DIM};
 pub use models::{ModelKind, SeverityModel, TrainProfile};

@@ -14,20 +14,24 @@
 //!   reduction dimension in ascending index order, regardless of banding or
 //!   thread count. Results are therefore bit-identical at every `NVD_JOBS`
 //!   setting, including the inline `jobs = 1` path.
-//! * **Register blocking.** Within a band, [`Matrix::matmul`] processes
-//!   [`ROW_BLOCK`] output rows per pass over the right-hand operand, so each
-//!   B row loaded into L1 is reused `ROW_BLOCK` times. The j dimension
-//!   streams whole rows — every matrix in this workload fits L2, so tiling
-//!   j would only add loop overhead.
+//! * **Register blocking.** [`Matrix::matmul`] and
+//!   [`Matrix::transpose_matmul`] share one kernel that cuts each band into
+//!   [`ROW_BLOCK`] × 4 output tiles. A tile stays in registers
+//!   for its whole reduction, so the inner loop does 16 independent
+//!   multiply-adds per step and never reloads or stores an output element.
 //!
 //! No BLAS, no unsafe.
 
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Output rows computed per pass over the right-hand operand in
-/// [`Matrix::matmul`] — the register-blocking factor.
+/// Output rows per register tile in [`Matrix::matmul`] and
+/// [`Matrix::transpose_matmul`].
 pub const ROW_BLOCK: usize = 4;
+
+/// Output columns per register tile in [`Matrix::matmul`] and
+/// [`Matrix::transpose_matmul`].
+const COL_BLOCK: usize = 4;
 
 /// A dense, row-major `rows × cols` matrix of `f64`.
 ///
@@ -171,12 +175,47 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Matrix::transpose`] into a caller-owned output (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `self.cols() × self.rows()`.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, self.rows),
+            "transpose output shape mismatch"
+        );
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = x;
             }
         }
-        t
+    }
+
+    /// Reinterprets the row-major data as `rows × cols` in place (no
+    /// element moves), e.g. to view a `batch × (positions · channels)`
+    /// activation matrix as `(batch · positions) × channels`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` differs from the element count or a
+    /// dimension is zero.
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        assert_eq!(
+            rows * cols,
+            self.data.len(),
+            "reshape {}x{} to {rows}x{cols}",
+            self.rows,
+            self.cols
+        );
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Runs `f(row_index, row)` over every row, sharding contiguous row
@@ -221,10 +260,9 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// Blocked and parallel: row bands shard over `minipar`, and within a
-    /// band [`ROW_BLOCK`] output rows share each pass over `other`'s rows.
-    /// Every output element accumulates `k` in ascending order, so the
-    /// result is bit-identical at any job count.
+    /// Blocked and parallel: row bands shard over `minipar`, and each band
+    /// is computed in register tiles. Every output element accumulates `k`
+    /// in ascending order, so the result is bit-identical at any job count.
     ///
     /// # Panics
     ///
@@ -253,29 +291,7 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        let n = other.cols;
-        let k_dim = self.cols;
-        // One pool task per large band; register blocking inside the band.
-        let bands = band_count(self.rows, k_dim.saturating_mul(n));
-        let band_rows = self.rows.div_ceil(bands).div_ceil(ROW_BLOCK) * ROW_BLOCK;
-        out.par_rows_band_mut(band_rows, |r0, band| {
-            for (qi, quad) in band.chunks_mut(ROW_BLOCK * n).enumerate() {
-                let q0 = r0 + qi * ROW_BLOCK;
-                let mut out_rows: Vec<&mut [f64]> = quad.chunks_mut(n).collect();
-                for row in out_rows.iter_mut() {
-                    row.fill(0.0);
-                }
-                for k in 0..k_dim {
-                    let b_row = other.row(k);
-                    for (i, out_row) in out_rows.iter_mut().enumerate() {
-                        let a = self.data[(q0 + i) * k_dim + k];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        });
+        out.gemm(self.cols, (&self.data, self.cols, 1), &other.data);
     }
 
     /// Product with a transposed right-hand side: `self · otherᵀ`, where
@@ -327,9 +343,11 @@ impl Matrix {
     /// `m × n`.
     ///
     /// This is the gradient-accumulation kernel (`∂L/∂W = Dᵀ · X` with both
-    /// `D` and `X` batch-major). Each output row is owned by one task and
-    /// reduces the batch dimension `s` in ascending order — bit-identical
-    /// at any job count, and identical to a per-sample accumulation loop.
+    /// `D` and `X` batch-major). It runs on the same tiled kernel as
+    /// [`Matrix::matmul`], reading `self` transposed in place. Each output
+    /// element reduces the batch dimension `s` in ascending order —
+    /// bit-identical at any job count, and identical to a per-sample
+    /// accumulation loop.
     ///
     /// # Panics
     ///
@@ -358,17 +376,7 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape mismatch"
         );
-        let s_dim = self.rows;
-        let m = self.cols;
-        out.par_rows_mut_cost(s_dim.saturating_mul(other.cols), |i, out_row| {
-            out_row.fill(0.0);
-            for s in 0..s_dim {
-                let a = self.data[s * m + i];
-                for (o, &b) in out_row.iter_mut().zip(other.row(s)) {
-                    *o += a * b;
-                }
-            }
-        });
+        out.gemm(self.rows, (&self.data, 1, self.cols), &other.data);
     }
 
     /// Adds `row` to every row of the matrix in place (bias broadcast),
@@ -417,28 +425,40 @@ impl Matrix {
     /// the rows in ascending order.
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, &x) in sums.iter_mut().zip(self.row(r)) {
-                *s += x;
-            }
-        }
+        self.column_sums_into(&mut sums);
         sums
     }
 
-    /// Like [`Matrix::par_rows_mut_cost`] but hands each task a whole band
-    /// (`f(first_row_index, band_slice)`) of `band_rows` rows, where
-    /// `band_rows` was sized by the caller from [`band_count`].
-    fn par_rows_band_mut(&mut self, band_rows: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-        let cols = self.cols;
-        let rows = self.rows;
-        if minipar::jobs() <= 1 || rows <= band_rows {
-            f(0, &mut self.data);
+    /// [`Matrix::column_sums`] into a caller-owned slice (overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums.len() != self.cols()`.
+    pub(crate) fn column_sums_into(&self, sums: &mut [f64]) {
+        assert_eq!(sums.len(), self.cols, "column_sums output length mismatch");
+        sums.fill(0.0);
+        for row in self.data.chunks_exact(self.cols) {
+            for (s, &x) in sums.iter_mut().zip(row) {
+                *s += x;
+            }
+        }
+    }
+
+    /// Overwrites `self` with `A · b` through [`gemm_band`], where `b` is
+    /// row-major `len × self.cols()` and `A` is read through `a` as
+    /// described there. Bands of whole register tiles shard over
+    /// `minipar`, sized by [`band_count`].
+    fn gemm(&mut self, len: usize, a: (&[f64], usize, usize), b: &[f64]) {
+        let (rows, n) = (self.rows, self.cols);
+        let bands = band_count(rows, len.saturating_mul(n));
+        let band_rows = rows.div_ceil(bands).div_ceil(ROW_BLOCK) * ROW_BLOCK;
+        if bands <= 1 {
+            gemm_band(&mut self.data, n, 0, len, a, b);
             return;
         }
         minipar::scope(|s| {
-            for (bi, band) in self.data.chunks_mut(band_rows * cols).enumerate() {
-                let f = &f;
-                s.spawn(move || f(bi * band_rows, band));
+            for (bi, band) in self.data.chunks_mut(band_rows * n).enumerate() {
+                s.spawn(move || gemm_band(band, n, bi * band_rows, len, a, b));
             }
         });
     }
@@ -607,13 +627,79 @@ pub const MIN_TASK_WORK: usize = 1 << 16;
 /// `work_per_row` work per row: at most ~4 bands per worker for load
 /// balancing, each band carrying at least [`MIN_TASK_WORK`], and 1 (run
 /// inline) when the whole job is small or only one job is allowed.
-fn band_count(rows: usize, work_per_row: usize) -> usize {
+pub(crate) fn band_count(rows: usize, work_per_row: usize) -> usize {
     let jobs = minipar::jobs();
     if jobs <= 1 {
         return 1;
     }
     let total = rows.saturating_mul(work_per_row.max(1));
     (total / MIN_TASK_WORK).min(jobs * 4).min(rows).max(1)
+}
+
+/// The tiled product kernel behind [`Matrix::matmul`] and
+/// [`Matrix::transpose_matmul`]. It fills `band`, the rows `i0..` of a
+/// row-major output with `n` columns, with `out[i][j] = Σ_k A(i, k) ·
+/// b[k][j]`. Here `b` is row-major `len × n` and `A(i, k) = a[i ·
+/// row_stride + k · k_stride]`, so one kernel serves both `A` and `Aᵀ`.
+///
+/// The band is cut into [`ROW_BLOCK`] × [`COL_BLOCK`] tiles, each held in
+/// registers across the whole reduction. Every element starts at 0.0 and
+/// adds its products in ascending `k`, exactly like an unblocked loop, so
+/// tiling and banding never change a bit.
+fn gemm_band(
+    band: &mut [f64],
+    n: usize,
+    i0: usize,
+    len: usize,
+    (a, row_stride, k_stride): (&[f64], usize, usize),
+    b: &[f64],
+) {
+    for (qi, quad) in band.chunks_mut(ROW_BLOCK * n).enumerate() {
+        let r0 = i0 + qi * ROW_BLOCK;
+        let rows = quad.len() / n;
+        let a_at = |i: usize, k: usize| a[(r0 + i) * row_stride + k * k_stride];
+        for j0 in (0..n).step_by(COL_BLOCK) {
+            let cols = COL_BLOCK.min(n - j0);
+            let tile = if rows == ROW_BLOCK && cols == COL_BLOCK {
+                tile_kernel(
+                    len,
+                    |k| std::array::from_fn(|i| a_at(i, k)),
+                    |k| b[k * n + j0..][..COL_BLOCK].try_into().expect("full tile"),
+                )
+            } else {
+                // Edge tile: the padding lanes multiply zeros and are dropped.
+                tile_kernel(
+                    len,
+                    |k| std::array::from_fn(|i| if i < rows { a_at(i, k) } else { 0.0 }),
+                    |k| std::array::from_fn(|j| if j < cols { b[k * n + j0 + j] } else { 0.0 }),
+                )
+            };
+            for (out_row, acc) in quad.chunks_exact_mut(n).zip(&tile) {
+                out_row[j0..j0 + cols].copy_from_slice(&acc[..cols]);
+            }
+        }
+    }
+}
+
+/// One register tile of [`gemm_band`]: `a(k)` yields the tile rows'
+/// left-hand factors at reduction index `k`, and `b(k)` the tile columns'
+/// right-hand factors.
+#[inline(always)]
+fn tile_kernel(
+    len: usize,
+    a: impl Fn(usize) -> [f64; ROW_BLOCK],
+    b: impl Fn(usize) -> [f64; COL_BLOCK],
+) -> [[f64; COL_BLOCK]; ROW_BLOCK] {
+    let mut acc = [[0.0; COL_BLOCK]; ROW_BLOCK];
+    for k in 0..len {
+        let (a, b) = (a(k), b(k));
+        for (acc_row, &a) in acc.iter_mut().zip(&a) {
+            for (o, &b) in acc_row.iter_mut().zip(&b) {
+                *o += a * b;
+            }
+        }
+    }
+    acc
 }
 
 /// Dot product of two equal-length slices.
@@ -755,16 +841,12 @@ mod tests {
         let oracle = naive_matmul(&a, &b);
         assert_eq!(blocked.rows(), 37);
         assert_eq!(blocked.cols(), 41);
-        for r in 0..37 {
-            for c in 0..41 {
-                assert!(
-                    (blocked[(r, c)] - oracle[(r, c)]).abs() < 1e-9,
-                    "({r},{c}): {} vs {}",
-                    blocked[(r, c)],
-                    oracle[(r, c)]
-                );
-            }
-        }
+        // Register tiles keep the naive loop's ascending-k order, edge
+        // tiles included, so both tiled kernels match it to the bit.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&blocked), bits(&oracle), "matmul");
+        let via_transpose = a.transpose().transpose_matmul(&b);
+        assert_eq!(bits(&via_transpose), bits(&oracle), "transpose_matmul");
     }
 
     #[test]
@@ -804,9 +886,12 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_products_are_bit_identical() {
-        let a = probe(53, 31, 8);
-        let b = probe(31, 37, 9);
+        // Large enough that every kernel forks into several bands at 4 jobs.
+        let a = probe(203, 61, 8);
+        let b = probe(61, 47, 9);
         let bt = b.transpose();
+        assert!(minipar::with_jobs(4, || band_count(203, 61 * 47)) > 1);
+        assert!(minipar::with_jobs(4, || band_count(61, 203 * 61)) > 1);
         let serial = minipar::with_jobs(1, || {
             (
                 a.matmul(&b),
@@ -844,6 +929,28 @@ mod tests {
             x
         });
         assert_eq!(serial, wide);
+    }
+
+    #[test]
+    fn into_variants_match_allocating_kernels() {
+        let a = probe(7, 5, 11);
+        let mut t = Matrix::zeros(5, 7);
+        a.transpose_into(&mut t);
+        assert_eq!(t, a.transpose());
+        let mut sums = vec![f64::NAN; 5];
+        a.column_sums_into(&mut sums);
+        assert_eq!(sums, a.column_sums());
+        // Reshaping moves no element: a 7×5 matrix viewed as 35×1.
+        let mut r = a.clone();
+        r.reshape(35, 1);
+        assert_eq!(r.as_slice(), a.as_slice());
+        assert_eq!(r[(12, 0)], a[(2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reshape 2x3 to 4x2")]
+    fn reshape_rejects_element_count_change() {
+        Matrix::zeros(2, 3).reshape(4, 2);
     }
 
     #[test]

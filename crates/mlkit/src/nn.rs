@@ -14,14 +14,28 @@
 //! Adam optimizer with a learning rate of 0.001". The feature vector is
 //! one-dimensional, so the 3×3 convolution degenerates to a kernel-3 Conv1D.
 //!
-//! Training works on whole minibatches at once: a dense layer's forward pass
-//! is one `X · Wᵀ` [`Matrix::matmul_transposed`] plus a bias broadcast, its
-//! backward pass one `Dᵀ · X` [`Matrix::transpose_matmul`] for the weight
-//! gradient and one `D · W` [`Matrix::matmul`] for the input gradient — all
-//! running on the blocked, `minipar`-sharded kernels of [`crate::matrix`].
-//! Activations and deltas live in preallocated [`Matrix`] workspaces that
-//! are reused across every batch of an epoch. Weight-gradient reductions
-//! accumulate the batch dimension in ascending sample order, so training is
+//! Training works on whole minibatches at once, and every layer is one GEMM
+//! on the blocked, `minipar`-sharded kernels of [`crate::matrix`]:
+//!
+//! * a **dense** layer's forward pass is one `X · Wᵀ`
+//!   [`Matrix::matmul_transposed`] plus a bias broadcast; its backward pass
+//!   one `Dᵀ · X` [`Matrix::transpose_matmul`] for the weight gradient and
+//!   one `D · W` [`Matrix::matmul`] for the input gradient;
+//! * a **convolution** is the same GEMM over im2col windows. Activations
+//!   are stored position-major (a sample's row is position 0's channels,
+//!   then position 1's, …), so the window at output position `p` is one
+//!   contiguous slice of the input row. The forward pass gathers the
+//!   batch's windows into a `(batch · l_out) × (kernel · c_in)` matrix and
+//!   multiplies it by the filter bank, which yields the position-major
+//!   output directly. The backward pass views δ as
+//!   `(batch · l_out) × filters`: its column sums are the bias gradient,
+//!   `δᵀ · windows` the weight gradient, and `δ · W` the window gradients
+//!   that col2im folds back onto the input.
+//!
+//! Activations, deltas and im2col buffers live in preallocated [`Matrix`]
+//! workspaces, one per batch length, reused across every batch of an epoch
+//! and every chunk of a prediction. Weight-gradient reductions accumulate
+//! samples, then positions, in ascending order, so training is
 //! deterministic under a seed and bit-identical at any `NVD_JOBS` setting.
 
 use rand::rngs::StdRng;
@@ -73,10 +87,13 @@ enum LayerKind {
 
 /// One layer: parameters plus fixed input/output shapes `(channels, len)`.
 ///
-/// Weights are a [`Matrix`]: `units × fan_in` for dense layers (so the
-/// batched forward pass is a single `matmul_transposed`), and
-/// `filters × (c_in · kernel)` for convolutions (row `f` holds filter `f`'s
-/// taps for every input channel).
+/// Activations are stored **position-major**: a sample's row holds
+/// position 0's channels, then position 1's, and so on (a dense layer's
+/// output is one position of `units` channels). Weights are a [`Matrix`]:
+/// `units × fan_in` for dense layers (so the batched forward pass is a
+/// single `matmul_transposed`), and `filters × (kernel · c_in)` for
+/// convolutions, where row `f` holds filter `f`'s taps in the same
+/// position-major order as one input window.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
     kind: LayerKind,
@@ -85,6 +102,20 @@ struct Layer {
     out_shape: (usize, usize),
     weights: Matrix,
     biases: Vec<f64>,
+}
+
+/// A convolution's im2col buffers for one batch length.
+#[derive(Debug)]
+struct Im2col {
+    /// `(batch · l_out) × (kernel · c_in)`: row `s · l_out + p` is sample
+    /// `s`'s input window at output position `p`.
+    cols: Matrix,
+    /// The filter bank transposed, `(kernel · c_in) × filters`, refreshed
+    /// by every forward pass so the forward product runs on the tiled
+    /// [`Matrix::matmul`] kernel.
+    weights_t: Matrix,
+    /// ∂L/∂`cols`, folded back onto the input by col2im (training only).
+    col_grads: Option<Matrix>,
 }
 
 impl Layer {
@@ -116,7 +147,7 @@ impl Layer {
             activation,
             in_shape,
             out_shape: (filters, l - kernel + 1),
-            weights: Matrix::zeros(filters, c * kernel),
+            weights: Matrix::zeros(filters, kernel * c),
             biases: vec![0.0; filters],
         }
     }
@@ -137,48 +168,72 @@ impl Layer {
         self.out_shape.0 * self.out_shape.1
     }
 
-    /// Forward pass over a whole minibatch: `input` is `batch × in_size`,
-    /// `output` (overwritten) is `batch × out_size`.
-    fn forward_batch(&self, input: &Matrix, output: &mut Matrix) {
-        match self.kind {
-            LayerKind::Dense { .. } => {
-                input.matmul_transposed_into(&self.weights, output);
-                output.add_broadcast(&self.biases);
-                let act = self.activation;
-                output.map_in_place(|x| act.apply(x));
-            }
-            LayerKind::Conv1d { .. } => {
-                // Rows are independent samples; the row-band sharding makes
-                // this the conv analogue of the dense matmul path.
-                output.par_rows_mut(|s, out_row| {
-                    self.conv_forward_row(input.row(s), out_row);
-                });
-            }
-        }
+    /// The im2col buffers this layer needs at a batch length (`None` for
+    /// dense layers, whose input already is their GEMM operand).
+    fn im2col_buffers(&self, batch: usize, training: bool) -> Option<Im2col> {
+        let LayerKind::Conv1d { filters, kernel } = self.kind else {
+            return None;
+        };
+        let rows = batch * self.out_shape.1;
+        let width = kernel * self.in_shape.0;
+        Some(Im2col {
+            cols: Matrix::zeros(rows, width),
+            weights_t: Matrix::zeros(width, filters),
+            col_grads: training.then(|| Matrix::zeros(rows, width)),
+        })
     }
 
-    /// One sample's convolution forward pass on raw slices.
-    fn conv_forward_row(&self, input: &[f64], output: &mut [f64]) {
-        let LayerKind::Conv1d { filters, kernel } = self.kind else {
-            unreachable!("conv kernel on a dense layer");
-        };
-        let (c_in, l_in) = self.in_shape;
-        let l_out = self.out_shape.1;
-        debug_assert_eq!(input.len(), c_in * l_in);
-        for f in 0..filters {
-            let w_row = self.weights.row(f);
-            for p in 0..l_out {
-                let mut acc = self.biases[f];
-                for c in 0..c_in {
-                    let w = &w_row[c * kernel..(c + 1) * kernel];
-                    let x = &input[c * l_in + p..][..kernel];
-                    for (wi, xi) in w.iter().zip(x) {
-                        acc += wi * xi;
-                    }
-                }
-                output[f * l_out + p] = self.activation.apply(acc);
+    /// Forward pass over a whole minibatch: `input` is `batch × in_size`,
+    /// `output` (overwritten) is `batch × out_size`.
+    ///
+    /// Both layer kinds are one GEMM plus a bias broadcast and the
+    /// activation. A convolution first gathers every window of the batch
+    /// into `cols`, so its GEMM yields the `(batch · l_out) × filters`
+    /// position-major output directly.
+    fn forward_batch(&self, input: &Matrix, output: &mut Matrix, im2col: Option<&mut Im2col>) {
+        let batch = input.rows();
+        match im2col {
+            None => input.matmul_transposed_into(&self.weights, output),
+            Some(buf) => {
+                self.im2col(input, &mut buf.cols);
+                self.weights.transpose_into(&mut buf.weights_t);
+                output.reshape(buf.cols.rows(), self.weights.rows());
+                buf.cols.matmul_into(&buf.weights_t, output);
             }
         }
+        output.add_broadcast(&self.biases);
+        let act = self.activation;
+        output.map_in_place(|x| act.apply(x));
+        output.reshape(batch, self.out_size());
+    }
+
+    /// Gathers every sample's input windows: row `s · l_out + p` of `cols`
+    /// is sample `s`'s positions `p..p + kernel`, one contiguous slice of
+    /// its position-major input row.
+    fn im2col(&self, input: &Matrix, cols: &mut Matrix) {
+        let c_in = self.in_shape.0;
+        let l_out = self.out_shape.1;
+        let width = cols.cols();
+        cols.par_rows_mut(|r, window| {
+            window.copy_from_slice(&input.row(r / l_out)[r % l_out * c_in..][..width]);
+        });
+    }
+
+    /// The adjoint of [`Layer::im2col`]: every input element sums the
+    /// window gradients that cover it, in ascending position order.
+    fn col2im(&self, col_grads: &Matrix, grad_in: &mut Matrix) {
+        let c_in = self.in_shape.0;
+        let l_out = self.out_shape.1;
+        let width = col_grads.cols();
+        grad_in.par_rows_mut_cost(l_out * width, |s, gi_row| {
+            gi_row.fill(0.0);
+            for p in 0..l_out {
+                let window = &mut gi_row[p * c_in..][..width];
+                for (g, &d) in window.iter_mut().zip(col_grads.row(s * l_out + p)) {
+                    *g += d;
+                }
+            }
+        });
     }
 
     /// Backpropagates a whole minibatch.
@@ -186,9 +241,14 @@ impl Layer {
     /// On entry `delta` holds ∂L/∂(activated output); this routine folds the
     /// activation derivative in place, then overwrites `grad_w`/`grad_b`
     /// with the batch-summed parameter gradients and `grad_in` with
-    /// ∂L/∂input. The weight-gradient reduction runs over samples in
-    /// ascending order (one `transpose_matmul` for dense layers), keeping
-    /// the float stream independent of the job count.
+    /// ∂L/∂input. Viewing δ as `(batch · positions) × units`, the bias
+    /// gradient is its column sums, the weight gradient one
+    /// `δᵀ · X` [`Matrix::transpose_matmul`] (`X` = the input, or a
+    /// convolution's `cols`), and the input gradient one `δ · W`
+    /// [`Matrix::matmul`] (col2im-folded for a convolution). Every
+    /// reduction runs over samples, then positions, in ascending order,
+    /// keeping the float stream independent of the job count.
+    #[allow(clippy::too_many_arguments)]
     fn backward_batch(
         &self,
         input: &Matrix,
@@ -197,6 +257,7 @@ impl Layer {
         grad_in: &mut Matrix,
         grad_w: &mut Matrix,
         grad_b: &mut [f64],
+        im2col: Option<&mut Im2col>,
     ) {
         // δ ← δ ⊙ act'(out), elementwise per row.
         let act = self.activation;
@@ -205,47 +266,23 @@ impl Layer {
                 *d *= act.derivative_from_output(o);
             }
         });
-        match self.kind {
-            LayerKind::Dense { .. } => {
-                grad_b.copy_from_slice(&delta.column_sums());
+        let batch = delta.rows();
+        let units = self.weights.rows();
+        delta.reshape(batch * self.out_size() / units, units);
+        delta.column_sums_into(grad_b);
+        match im2col {
+            None => {
                 delta.transpose_matmul_into(input, grad_w);
                 delta.matmul_into(&self.weights, grad_in);
             }
-            LayerKind::Conv1d { filters, kernel } => {
-                let (c_in, l_in) = self.in_shape;
-                let l_out = self.out_shape.1;
-                grad_w.as_mut_slice().fill(0.0);
-                grad_b.fill(0.0);
-                // Parameter gradients accumulate serially in ascending
-                // sample order (the conv layers are tiny next to the dense
-                // ones); input gradients are per-row.
-                for s in 0..delta.rows() {
-                    let d_row = delta.row(s);
-                    let x_row = input.row(s);
-                    let gi_row = grad_in.row_mut(s);
-                    gi_row.fill(0.0);
-                    for f in 0..filters {
-                        let w_row = self.weights.row(f);
-                        let gw_row = grad_w.row_mut(f);
-                        for p in 0..l_out {
-                            let d = d_row[f * l_out + p];
-                            if d == 0.0 {
-                                continue;
-                            }
-                            grad_b[f] += d;
-                            for c in 0..c_in {
-                                let base_w = c * kernel;
-                                let base_x = c * l_in + p;
-                                for j in 0..kernel {
-                                    gw_row[base_w + j] += d * x_row[base_x + j];
-                                    gi_row[base_x + j] += d * w_row[base_w + j];
-                                }
-                            }
-                        }
-                    }
-                }
+            Some(buf) => {
+                let col_grads = buf.col_grads.as_mut().expect("training im2col buffers");
+                delta.transpose_matmul_into(&buf.cols, grad_w);
+                delta.matmul_into(&self.weights, col_grads);
+                self.col2im(col_grads, grad_in);
             }
         }
+        delta.reshape(batch, self.out_size());
     }
 }
 
@@ -374,23 +411,57 @@ impl AdamState {
 }
 
 /// Preallocated per-batch matrices: `acts[0]` is the gathered input batch,
-/// `acts[i + 1]` the activations of layer `i`; `deltas` mirrors `acts`
-/// (`deltas[i + 1]` holds ∂L/∂(activated output of layer `i`), `deltas[0]`
-/// receives the unused input gradient). One workspace exists per distinct
-/// batch length — at most two per fit (full batches plus the tail).
+/// `acts[i + 1]` the activations of layer `i`, and `im2col[i]` layer `i`'s
+/// convolution buffers. A training workspace also holds `deltas`, which
+/// mirrors `acts` (`deltas[i + 1]` holds ∂L/∂(activated output of layer
+/// `i`), `deltas[0]` receives the unused input gradient), and the
+/// convolutions' window gradients. One workspace exists per distinct
+/// batch length — at most two per fit or prediction (full batches plus the
+/// tail) — so no training step or prediction chunk allocates.
 #[derive(Debug)]
 struct Workspace {
     acts: Vec<Matrix>,
     deltas: Vec<Matrix>,
+    im2col: Vec<Option<Im2col>>,
 }
 
 impl Workspace {
-    fn new(layers: &[Layer], input_len: usize, batch: usize) -> Self {
+    fn new(layers: &[Layer], input_len: usize, batch: usize, training: bool) -> Self {
         let mut sizes = vec![input_len];
         sizes.extend(layers.iter().map(Layer::out_size));
+        let matrices = || sizes.iter().map(|&s| Matrix::zeros(batch, s)).collect();
         Self {
-            acts: sizes.iter().map(|&s| Matrix::zeros(batch, s)).collect(),
-            deltas: sizes.iter().map(|&s| Matrix::zeros(batch, s)).collect(),
+            acts: matrices(),
+            deltas: if training { matrices() } else { Vec::new() },
+            im2col: layers
+                .iter()
+                .map(|l| l.im2col_buffers(batch, training))
+                .collect(),
+        }
+    }
+
+    /// Runs every layer forward over the batch in `acts[0]`.
+    fn forward(&mut self, layers: &[Layer]) {
+        for (li, layer) in layers.iter().enumerate() {
+            let (head, tail) = self.acts.split_at_mut(li + 1);
+            layer.forward_batch(&head[li], &mut tail[0], self.im2col[li].as_mut());
+        }
+    }
+
+    /// Backpropagates the output delta in `deltas[layers.len()]` through
+    /// every layer, overwriting the per-layer parameter gradients.
+    fn backward(&mut self, layers: &[Layer], grad_w: &mut [Matrix], grad_b: &mut [Vec<f64>]) {
+        for li in (0..layers.len()).rev() {
+            let (d_head, d_tail) = self.deltas.split_at_mut(li + 1);
+            layers[li].backward_batch(
+                &self.acts[li],
+                &self.acts[li + 1],
+                &mut d_tail[0],
+                &mut d_head[li],
+                &mut grad_w[li],
+                &mut grad_b[li],
+                self.im2col[li].as_mut(),
+            );
         }
     }
 }
@@ -405,8 +476,8 @@ pub struct Network {
 /// Rows per inference chunk in [`Network::forward`] — bounds workspace
 /// memory when predicting over very large populations (the ≈74K-CVE
 /// backport sweep) while keeping each chunk large enough for the matrix
-/// kernels to amortise.
-const PREDICT_CHUNK: usize = 512;
+/// kernels to amortise (a convolution's GEMM sees `l_out` rows per sample).
+const PREDICT_CHUNK: usize = 128;
 
 impl Network {
     /// Expected input feature count.
@@ -437,39 +508,25 @@ impl Network {
     /// Panics if `x.cols() != input_len()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_len(), "input width mismatch");
-        let out_len = self.output_len();
-        let mut out = Matrix::zeros(x.rows(), out_len);
-        // Activation matrices only (inference needs no deltas), allocated
-        // once per distinct chunk length: the full-size set is reused for
-        // every chunk but the possibly-shorter tail.
-        let acts_for = |len: usize| -> Vec<Matrix> {
-            let mut sizes = vec![self.input_len()];
-            sizes.extend(self.layers.iter().map(Layer::out_size));
-            sizes.into_iter().map(|s| Matrix::zeros(len, s)).collect()
-        };
-        let mut acts_full: Option<Vec<Matrix>> = None;
-        let mut start = 0;
-        while start < x.rows() {
-            let len = PREDICT_CHUNK.min(x.rows() - start);
-            let mut acts_tail;
-            let acts = if len == PREDICT_CHUNK.min(x.rows()) {
-                acts_full.get_or_insert_with(|| acts_for(len))
-            } else {
-                acts_tail = acts_for(len);
-                &mut acts_tail
-            };
+        let mut out = Matrix::zeros(x.rows(), self.output_len());
+        let full = PREDICT_CHUNK.min(x.rows());
+        let mut ws = Workspace::new(&self.layers, self.input_len(), full, false);
+        for start in (0..x.rows()).step_by(full) {
+            let len = full.min(x.rows() - start);
+            if len < full {
+                // The shorter tail is the last chunk: free the full-size
+                // buffers before sizing its own.
+                drop(ws);
+                ws = Workspace::new(&self.layers, self.input_len(), len, false);
+            }
             for bi in 0..len {
-                acts[0].row_mut(bi).copy_from_slice(x.row(start + bi));
+                ws.acts[0].row_mut(bi).copy_from_slice(x.row(start + bi));
             }
-            for (li, layer) in self.layers.iter().enumerate() {
-                let (head, tail) = acts.split_at_mut(li + 1);
-                layer.forward_batch(&head[li], &mut tail[0]);
-            }
+            ws.forward(&self.layers);
             for bi in 0..len {
                 out.row_mut(start + bi)
-                    .copy_from_slice(acts[self.layers.len()].row(bi));
+                    .copy_from_slice(ws.acts[self.layers.len()].row(bi));
             }
-            start += len;
         }
         out
     }
@@ -525,9 +582,10 @@ impl Network {
         // Preallocated activation/delta workspaces: one for full batches,
         // one (lazily sized) for the shorter tail batch.
         let full = cfg.batch_size.max(1).min(n);
-        let mut ws_full = Workspace::new(&self.layers, self.input_len(), full);
+        let mut ws_full = Workspace::new(&self.layers, self.input_len(), full, true);
         let tail = n % full;
-        let mut ws_tail = (tail != 0).then(|| Workspace::new(&self.layers, self.input_len(), tail));
+        let mut ws_tail =
+            (tail != 0).then(|| Workspace::new(&self.layers, self.input_len(), tail, true));
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut step = 0.0f64;
@@ -549,11 +607,7 @@ impl Network {
                 for (bi, &s) in batch.iter().enumerate() {
                     ws.acts[0].row_mut(bi).copy_from_slice(x.row(s));
                 }
-                // Forward through every layer.
-                for (li, layer) in self.layers.iter().enumerate() {
-                    let (head, tail) = ws.acts.split_at_mut(li + 1);
-                    layer.forward_batch(&head[li], &mut tail[0]);
-                }
+                ws.forward(&self.layers);
                 // MSE gradient at the output (ascending batch order).
                 let scale = 1.0 / batch.len() as f64;
                 let out_act = &ws.acts[n_layers];
@@ -566,18 +620,7 @@ impl Network {
                         *d = 2.0 * e * scale;
                     }
                 }
-                // Backward through every layer.
-                for li in (0..n_layers).rev() {
-                    let (d_head, d_tail) = ws.deltas.split_at_mut(li + 1);
-                    self.layers[li].backward_batch(
-                        &ws.acts[li],
-                        &ws.acts[li + 1],
-                        &mut d_tail[0],
-                        &mut d_head[li],
-                        &mut grad_w[li],
-                        &mut grad_b[li],
-                    );
-                }
+                ws.backward(&self.layers, &mut grad_w, &mut grad_b);
                 step += 1.0;
                 for (li, layer) in self.layers.iter_mut().enumerate() {
                     adam_w[li].update(
@@ -635,6 +678,39 @@ mod tests {
         assert!(
             a[(0, 0)] > 0.0 && a[(0, 0)] < 1.0,
             "sigmoid output in (0,1)"
+        );
+    }
+
+    #[test]
+    fn conv_forward_is_job_count_invariant_when_kernels_fork() {
+        let net = NetworkBuilder::input_1d(13)
+            .conv1d(8, 3, Activation::Relu)
+            .conv1d(16, 3, Activation::Relu)
+            .dense(8, Activation::Relu)
+            .dense(1, Activation::Sigmoid)
+            .build(42);
+        // 600 rows: full chunks plus a shorter tail, so both workspace
+        // sizes run.
+        let rows = 600;
+        let tail_start = rows / PREDICT_CHUNK * PREDICT_CHUNK;
+        assert!(tail_start > 0 && tail_start < rows);
+        let x = random_matrix(rows, 13, 5);
+        // The second conv's GEMM over a full chunk is large enough to be
+        // cut into parallel bands at 4 jobs.
+        let (conv2_rows, conv2_work) = (PREDICT_CHUNK * 9, 8 * 3 * 16);
+        assert!(minipar::with_jobs(4, || crate::matrix::band_count(conv2_rows, conv2_work)) > 1);
+        let serial = minipar::with_jobs(1, || net.forward(&x));
+        let wide = minipar::with_jobs(4, || net.forward(&x));
+        assert_eq!(serial, wide, "conv forward diverged across job counts");
+        // Chunking never changes values: the tail rows alone agree.
+        let tail = Matrix::from_vec(
+            rows - tail_start,
+            13,
+            x.as_slice()[tail_start * 13..].to_vec(),
+        );
+        assert_eq!(
+            net.forward(&tail).as_slice(),
+            &serial.as_slice()[tail_start..]
         );
     }
 
@@ -747,20 +823,29 @@ mod tests {
         assert!(losses.last().unwrap() < &(losses[0] * 0.5));
     }
 
-    /// Numerical gradient check on a tiny conv+dense network, through the
-    /// batched backward path (a 2-sample batch exercises the batch-summed
-    /// reductions).
+    /// Numerical gradient check on a tiny two-conv + dense network, through
+    /// the batched backward path (a 2-sample batch exercises the
+    /// batch-summed reductions; the second conv's col2im folds over two
+    /// input channels).
     #[test]
     fn analytic_gradients_match_numerical() {
-        let x = Matrix::from_rows(&[&[0.3, -0.2, 0.8, 0.1], &[-0.5, 0.4, 0.2, 0.9]]);
+        let x = Matrix::from_rows(&[
+            &[0.3, -0.2, 0.8, 0.1, -0.6, 0.5],
+            &[-0.5, 0.4, 0.2, 0.9, 0.7, -0.3],
+        ]);
         let y = Matrix::from_vec(2, 1, vec![0.7, 0.2]);
-        let build = || {
-            NetworkBuilder::input_1d(4)
-                .conv1d(2, 3, Activation::Sigmoid)
-                .dense(3, Activation::Sigmoid)
-                .dense(1, Activation::Linear)
-                .build(17)
-        };
+        let mut net = NetworkBuilder::input_1d(6)
+            .conv1d(2, 3, Activation::Sigmoid)
+            .conv1d(3, 2, Activation::Sigmoid)
+            .dense(3, Activation::Sigmoid)
+            .dense(1, Activation::Linear)
+            .build(17);
+        // Nonzero biases, so bias placement in the GEMM path is checked too.
+        for (li, layer) in net.layers.iter_mut().enumerate() {
+            for (bi, b) in layer.biases.iter_mut().enumerate() {
+                *b = 0.1 * (li as f64 + 1.0) - 0.07 * bi as f64;
+            }
+        }
 
         // Batch-mean squared error, the loss `fit` differentiates.
         let loss_of = |net: &Network| {
@@ -770,16 +855,12 @@ mod tests {
                 .sum::<f64>()
         };
 
-        let net = build();
         let n_layers = net.layers.len();
-        let mut ws = Workspace::new(&net.layers, net.input_len(), x.rows());
+        let mut ws = Workspace::new(&net.layers, net.input_len(), x.rows(), true);
         for s in 0..x.rows() {
             ws.acts[0].row_mut(s).copy_from_slice(x.row(s));
         }
-        for (li, layer) in net.layers.iter().enumerate() {
-            let (head, tail) = ws.acts.split_at_mut(li + 1);
-            layer.forward_batch(&head[li], &mut tail[0]);
-        }
+        ws.forward(&net.layers);
         let scale = 1.0 / x.rows() as f64;
         for s in 0..x.rows() {
             ws.deltas[n_layers].row_mut(s)[0] =
@@ -795,34 +876,221 @@ mod tests {
             .iter()
             .map(|l| vec![0.0; l.biases.len()])
             .collect();
-        for li in (0..n_layers).rev() {
-            let (d_head, d_tail) = ws.deltas.split_at_mut(li + 1);
-            net.layers[li].backward_batch(
-                &ws.acts[li],
-                &ws.acts[li + 1],
-                &mut d_tail[0],
-                &mut d_head[li],
-                &mut grad_w[li],
-                &mut grad_b[li],
-            );
-        }
+        ws.backward(&net.layers, &mut grad_w, &mut grad_b);
 
-        // Compare against central differences for a sample of weights.
+        // Compare every parameter against central differences.
         let eps = 1e-6;
+        let check = |name: &str, ana: f64, perturb: &dyn Fn(&mut Network, f64)| {
+            let mut plus = net.clone();
+            perturb(&mut plus, eps);
+            let mut minus = net.clone();
+            perturb(&mut minus, -eps);
+            let num = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
+            assert!(
+                (num - ana).abs() < 1e-5 * (1.0 + num.abs().max(ana.abs())),
+                "{name}: numerical {num} vs analytic {ana}"
+            );
+        };
         for li in 0..n_layers {
-            for wi in (0..net.layers[li].weights.as_slice().len()).step_by(3) {
-                let mut plus = net.clone();
-                plus.layers[li].weights.as_mut_slice()[wi] += eps;
-                let mut minus = net.clone();
-                minus.layers[li].weights.as_mut_slice()[wi] -= eps;
-                let num = (loss_of(&plus) - loss_of(&minus)) / (2.0 * eps);
-                let ana = grad_w[li].as_slice()[wi];
-                assert!(
-                    (num - ana).abs() < 1e-5 * (1.0 + num.abs().max(ana.abs())),
-                    "layer {li} w{wi}: numerical {num} vs analytic {ana}"
+            for wi in 0..net.layers[li].weights.as_slice().len() {
+                check(
+                    &format!("layer {li} w{wi}"),
+                    grad_w[li].as_slice()[wi],
+                    &|n, d| n.layers[li].weights.as_mut_slice()[wi] += d,
                 );
             }
+            for bi in 0..net.layers[li].biases.len() {
+                check(&format!("layer {li} b{bi}"), grad_b[li][bi], &|n, d| {
+                    n.layers[li].biases[bi] += d
+                });
+            }
         }
+    }
+
+    /// Deterministic pseudo-random matrix in `[-1, 1)`.
+    fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// The per-sample convolution the im2col GEMM path replaced, kept as
+    /// an oracle. It works channel-major — input element `(c, p)` at
+    /// `c · len + p`, filter taps stored `[c][j]` — so comparing against
+    /// it also checks the position-major layout bookkeeping.
+    struct ConvReference {
+        c_in: usize,
+        l_in: usize,
+        l_out: usize,
+        filters: usize,
+        kernel: usize,
+        activation: Activation,
+        weights: Matrix,
+        biases: Vec<f64>,
+    }
+
+    impl ConvReference {
+        fn of(layer: &Layer) -> Self {
+            let LayerKind::Conv1d { filters, kernel } = layer.kind else {
+                panic!("not a conv layer");
+            };
+            let (c_in, l_in) = layer.in_shape;
+            let mut weights = Matrix::zeros(filters, c_in * kernel);
+            for f in 0..filters {
+                let taps = to_channel_major(layer.weights.row(f), c_in, kernel);
+                weights.row_mut(f).copy_from_slice(&taps);
+            }
+            Self {
+                c_in,
+                l_in,
+                l_out: layer.out_shape.1,
+                filters,
+                kernel,
+                activation: layer.activation,
+                weights,
+                biases: layer.biases.clone(),
+            }
+        }
+
+        fn forward_row(&self, input: &[f64], output: &mut [f64]) {
+            let (c_in, l_in, l_out, kernel) = (self.c_in, self.l_in, self.l_out, self.kernel);
+            for f in 0..self.filters {
+                let w_row = self.weights.row(f);
+                for p in 0..l_out {
+                    let mut acc = self.biases[f];
+                    for c in 0..c_in {
+                        let w = &w_row[c * kernel..(c + 1) * kernel];
+                        let x = &input[c * l_in + p..][..kernel];
+                        for (wi, xi) in w.iter().zip(x) {
+                            acc += wi * xi;
+                        }
+                    }
+                    output[f * l_out + p] = self.activation.apply(acc);
+                }
+            }
+        }
+
+        /// The sample-serial backward loop; `delta` already carries the
+        /// activation derivative.
+        fn backward(
+            &self,
+            input: &Matrix,
+            delta: &Matrix,
+            grad_in: &mut Matrix,
+            grad_w: &mut Matrix,
+            grad_b: &mut [f64],
+        ) {
+            let (c_in, l_in, l_out, kernel) = (self.c_in, self.l_in, self.l_out, self.kernel);
+            grad_w.as_mut_slice().fill(0.0);
+            grad_b.fill(0.0);
+            for s in 0..delta.rows() {
+                let d_row = delta.row(s);
+                let x_row = input.row(s);
+                let gi_row = grad_in.row_mut(s);
+                gi_row.fill(0.0);
+                for f in 0..self.filters {
+                    let w_row = self.weights.row(f);
+                    let gw_row = grad_w.row_mut(f);
+                    for p in 0..l_out {
+                        let d = d_row[f * l_out + p];
+                        if d == 0.0 {
+                            continue;
+                        }
+                        grad_b[f] += d;
+                        for c in 0..c_in {
+                            let base_w = c * kernel;
+                            let base_x = c * l_in + p;
+                            for j in 0..kernel {
+                                gw_row[base_w + j] += d * x_row[base_x + j];
+                                gi_row[base_x + j] += d * w_row[base_w + j];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Position-major `len × channels` row → channel-major.
+    fn to_channel_major(row: &[f64], channels: usize, len: usize) -> Vec<f64> {
+        let mut out = vec![0.0; row.len()];
+        for p in 0..len {
+            for c in 0..channels {
+                out[c * len + p] = row[p * channels + c];
+            }
+        }
+        out
+    }
+
+    /// Row-wise [`to_channel_major`] over a whole batch.
+    fn batch_to_channel_major(m: &Matrix, channels: usize, len: usize) -> Matrix {
+        let rows: Vec<Vec<f64>> = (0..m.rows())
+            .map(|r| to_channel_major(m.row(r), channels, len))
+            .collect();
+        Matrix::from_vectors(&rows)
+    }
+
+    fn assert_close(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-12 * g.abs().max(w.abs()).max(1.0),
+                "{what}[{i}]: im2col {g} vs per-sample {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn im2col_conv_matches_per_sample_reference() {
+        let (c_in, l_in, filters, kernel, batch) = (3, 9, 5, 3, 7);
+        let mut layer = Layer::conv1d((c_in, l_in), filters, kernel, Activation::Sigmoid);
+        layer.init(&mut StdRng::seed_from_u64(3));
+        layer.biases = (0..filters).map(|f| 0.2 * f as f64 - 0.3).collect();
+        let reference = ConvReference::of(&layer);
+        let l_out = layer.out_shape.1;
+        let x = random_matrix(batch, c_in * l_in, 4);
+        let x_cm = batch_to_channel_major(&x, c_in, l_in);
+
+        let mut im2col = layer.im2col_buffers(batch, true);
+        let mut out = Matrix::zeros(batch, layer.out_size());
+        layer.forward_batch(&x, &mut out, im2col.as_mut());
+        let mut want_out = Matrix::zeros(batch, layer.out_size());
+        for s in 0..batch {
+            reference.forward_row(x_cm.row(s), want_out.row_mut(s));
+        }
+        let out_cm = batch_to_channel_major(&out, filters, l_out);
+        assert_close("forward", out_cm.as_slice(), want_out.as_slice());
+
+        // Backward from a random upstream gradient.
+        let upstream = random_matrix(batch, layer.out_size(), 5);
+        let mut delta = upstream.clone();
+        let mut grad_in = Matrix::zeros(batch, c_in * l_in);
+        let mut grad_w = Matrix::zeros(filters, kernel * c_in);
+        let mut grad_b = vec![0.0; filters];
+        layer.backward_batch(
+            &x,
+            &out,
+            &mut delta,
+            &mut grad_in,
+            &mut grad_w,
+            &mut grad_b,
+            im2col.as_mut(),
+        );
+        let mut delta_cm = batch_to_channel_major(&upstream, filters, l_out);
+        for s in 0..batch {
+            for (d, &o) in delta_cm.row_mut(s).iter_mut().zip(out_cm.row(s)) {
+                *d *= layer.activation.derivative_from_output(o);
+            }
+        }
+        let mut want_gi = Matrix::zeros(batch, c_in * l_in);
+        let mut want_gw = Matrix::zeros(filters, c_in * kernel);
+        let mut want_gb = vec![0.0; filters];
+        reference.backward(&x_cm, &delta_cm, &mut want_gi, &mut want_gw, &mut want_gb);
+        let grad_w_cm = batch_to_channel_major(&grad_w, c_in, kernel);
+        assert_close("grad_w", grad_w_cm.as_slice(), want_gw.as_slice());
+        assert_close("grad_b", &grad_b, &want_gb);
+        let grad_in_cm = batch_to_channel_major(&grad_in, c_in, l_in);
+        assert_close("grad_in", grad_in_cm.as_slice(), want_gi.as_slice());
     }
 
     #[test]
