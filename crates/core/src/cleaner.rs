@@ -8,19 +8,15 @@
 
 use std::collections::BTreeMap;
 
-use nvd_model::cwe::CweCatalog;
 use nvd_model::prelude::{CveId, Database, Date, Severity};
 use webarchive::{CrawlerSet, WebArchive};
 
-use crate::cwe_fix::{rectify_cwe, CweFixOutcome};
-use crate::disclosure::{AggregationRule, DisclosureEstimate, DisclosureEstimator};
-use crate::incremental::QuarantineLedger;
-use crate::names::{
-    find_product_candidates, find_vendor_candidates, ApplyStats, NameMapping, PatternBreakdown,
-    ProductCandidate, ProductHeuristic, Verifier,
-};
-use crate::quality::{emit_issues, QualityLedger, QualitySink};
-use crate::severity::{backport_v3, can_backport, BackportOptions, BackportOutcome};
+use crate::cwe_fix::CweFixOutcome;
+use crate::disclosure::{AggregationRule, DisclosureEstimate};
+use crate::incremental::CleanState;
+use crate::names::{ApplyStats, NameMapping, PatternBreakdown, Verifier};
+use crate::quality::QualityLedger;
+use crate::severity::{BackportOptions, BackportOutcome};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -96,9 +92,8 @@ pub struct CleanReport {
 
 /// Everything one cleaning pass produced: the rectified database, the
 /// report over it, and the per-CVE quality ledger the stage-detectors
-/// emitted. Returned by both [`Cleaner::clean`] and
-/// [`crate::incremental::CleanState::apply_delta`], replacing the loose
-/// `(Database, CleanReport)` tuples the two paths used to drift between.
+/// emitted. Returned by [`CleanState::apply_delta`] and so by
+/// [`Cleaner::clean`].
 #[derive(Debug, Clone)]
 pub struct CleanOutcome {
     /// The rectified database.
@@ -124,19 +119,6 @@ impl CleanReport {
     }
 }
 
-/// The product-pair acceptance rule shared by the batch pipeline and the
-/// incremental [`crate::incremental::CleanState`]: token and abbreviation
-/// pairs are reliable; edit-distance pairs need the verifier's scrutiny,
-/// which our stand-ins only provide for vendors — so accept
-/// token/abbreviation unconditionally and edit-distance pairs only when
-/// short names make typos plausible.
-pub(crate) fn confirm_product(c: &ProductCandidate) -> bool {
-    match c.heuristic {
-        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
-        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
-    }
-}
-
 /// The pipeline itself.
 #[derive(Debug, Clone, Default)]
 pub struct Cleaner {
@@ -153,6 +135,10 @@ impl Cleaner {
     /// report, and the assembled quality ledger. The input database is not
     /// modified.
     ///
+    /// A batch clean is one delta: the whole corpus applied to a fresh
+    /// [`CleanState`], so batch and incremental cleaning share one stage
+    /// sequence.
+    ///
     /// `verifier` stands in for the paper's manual pair vetting; it must be
     /// `Sync` because the per-CVE stages (disclosure estimation, the §4.2
     /// candidate sweeps and their verification, severity feature
@@ -164,102 +150,7 @@ impl Cleaner {
         archive: &WebArchive,
         verifier: &V,
     ) -> CleanOutcome {
-        let mut ledger = QualityLedger::default();
-        let (database, report) = self.clean_into(db, archive, verifier, &mut ledger);
-        CleanOutcome {
-            database,
-            report,
-            ledger,
-        }
-    }
-
-    /// [`Cleaner::clean`] with a pluggable issue sink: the pipeline runs
-    /// identically, then the stage-detectors emit into `sink` — or skip
-    /// all assessment work when the sink is disabled
-    /// ([`crate::quality::NullSink`], the silent path the overhead bench
-    /// baselines against).
-    pub fn clean_into<V: Verifier + Sync, S: QualitySink>(
-        &self,
-        db: &Database,
-        archive: &WebArchive,
-        verifier: &V,
-        sink: &mut S,
-    ) -> (Database, CleanReport) {
-        let mut cleaned = db.clone();
-
-        // §4.1 — disclosure dates (on the original references).
-        let estimator = DisclosureEstimator::new(archive)
-            .with_crawlers(self.options.crawlers.clone())
-            .with_rule(self.options.aggregation);
-        let disclosure = estimator.estimate_all(&cleaned);
-
-        // §4.2 — vendor names on the blocked matching engine (interned ids,
-        // block proposal and signal annotation fan out over minipar). Pair
-        // verification is the stand-in for the paper's manual review of
-        // every flagged pair: per-pair work with no cross-pair state, so it
-        // maps in candidate order.
-        let vendor_candidates = find_vendor_candidates(&cleaned);
-        let confirmed_flags: Vec<bool> =
-            minipar::par_map(&vendor_candidates, |c| verifier.confirm(c));
-        let confirmed: Vec<_> = vendor_candidates
-            .iter()
-            .zip(&confirmed_flags)
-            .filter(|(_, &ok)| ok)
-            .map(|(c, _)| c.clone())
-            .collect();
-        let pattern_breakdown = PatternBreakdown::tabulate(&vendor_candidates, &confirmed_flags);
-        let mut mapping = NameMapping::build_vendor(&confirmed, &cleaned);
-
-        // §4.2 — product names (under consolidated vendors, one parallel
-        // block per vendor), accepted under the shared `confirm_product`
-        // rule.
-        let product_candidates = find_product_candidates(&cleaned, &mapping);
-        let product_confirmed: Vec<_> = product_candidates
-            .iter()
-            .filter(|c| confirm_product(c))
-            .cloned()
-            .collect();
-        mapping.extend_products(&product_confirmed, &cleaned);
-
-        let vendors_before = cleaned.vendor_set().len();
-        let products_before = cleaned.product_set().len();
-        let apply_stats = mapping.apply(&mut cleaned);
-        let names = NameReport {
-            vendors_before,
-            vendors_after: cleaned.vendor_set().len(),
-            products_before,
-            products_after: cleaned.product_set().len(),
-            vendor_candidates: vendor_candidates.len(),
-            vendor_confirmed: confirmed.len(),
-            product_candidates: product_candidates.len(),
-            product_confirmed: product_confirmed.len(),
-            pattern_breakdown,
-            mapping,
-            apply_stats,
-        };
-
-        // §4.4 — CWE mining (before severity so target encoding can use
-        // recovered types).
-        let cwe = rectify_cwe(&mut cleaned, &CweCatalog::builtin());
-
-        // §4.3 — severity backport (skipped while the corpus holds too
-        // little ground truth to train on).
-        let severity = if self.options.run_backport && can_backport(&cleaned) {
-            Some(backport_v3(&cleaned, &self.options.backport))
-        } else {
-            None
-        };
-
-        let report = CleanReport {
-            disclosure,
-            names,
-            severity,
-            cwe,
-        };
-        // Quality assessment: every stage re-read as a detector, emitting
-        // typed issues serially (batch cleaning has no quarantine path).
-        emit_issues(&cleaned, &report, &QuarantineLedger::default(), sink);
-        (cleaned, report)
+        CleanState::new(self.options.clone()).apply_delta(db.as_slice(), archive, verifier)
     }
 }
 
@@ -357,25 +248,32 @@ mod tests {
 
     #[test]
     fn ledger_matches_the_report_and_the_silent_path() {
-        use crate::quality::{IssueKind, NullSink, QualityLedger};
+        use crate::incremental::QuarantineLedger;
+        use crate::quality::{IssueKind, QualityLedger};
+        use crate::reference::reference_clean;
         let corpus = generate(&SynthConfig::with_scale(0.01, 41));
         let cleaner = Cleaner::default();
         let oracle = OracleVerifier::new(corpus.truth.vendor_alias_map());
         let out = cleaner.clean(&corpus.database, &corpus.archive, &oracle);
 
         // Re-assembling from the report reproduces the ledger exactly, and
-        // the NullSink path returns an identical database + report.
-        let reassembled = QualityLedger::assemble(
-            &out.database,
-            &out.report,
-            &crate::incremental::QuarantineLedger::default(),
-        );
+        // the uncached stage-by-stage reference returns an identical
+        // database, report and ledger.
+        let reassembled =
+            QualityLedger::assemble(&out.database, &out.report, &QuarantineLedger::default());
         assert_eq!(out.ledger, reassembled);
-        let mut sink = NullSink;
-        let (silent_db, silent_report) =
-            cleaner.clean_into(&corpus.database, &corpus.archive, &oracle, &mut sink);
-        assert_eq!(out.database.as_slice(), silent_db.as_slice());
-        assert_eq!(format!("{:?}", out.report), format!("{silent_report:?}"));
+        let reference = reference_clean(
+            &corpus.database,
+            &corpus.archive,
+            &oracle,
+            &CleanOptions::default(),
+        );
+        assert_eq!(out.database.as_slice(), reference.database.as_slice());
+        assert_eq!(
+            format!("{:?}", out.report),
+            format!("{:?}", reference.report)
+        );
+        assert_eq!(out.ledger, reference.ledger);
 
         // Every auto-fix the report records shows up as ledger issues.
         let quality = out.ledger.corpus_quality(&out.database);

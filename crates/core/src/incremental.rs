@@ -1,9 +1,11 @@
 //! Incremental ingestion: delta-aware cleaning with carry-over state.
 //!
-//! The real NVD is a stream of dated `recent`/`modified` feeds, not the
-//! one-shot batch file [`crate::cleaner::Cleaner`] consumes. [`CleanState`]
-//! makes the pipeline pay only for what changed: it accumulates delivered
-//! entries and persists, across deltas,
+//! The real NVD is a stream of dated `recent`/`modified` feeds, not a
+//! one-shot batch file. [`CleanState::apply_delta`] is the one place the
+//! §4.1–§4.4 stage sequence runs; [`crate::cleaner::Cleaner::clean`] *is*
+//! one delta — the whole corpus applied to a fresh state. Across deltas the
+//! state makes the pipeline pay only for what changed: it accumulates
+//! delivered entries and persists,
 //!
 //! - per-CVE **disclosure estimates** (§4.1) — only touched CVEs are
 //!   re-crawled, sound because per-URL crawl results are batch-invariant
@@ -13,25 +15,21 @@
 //!   untouched — and the per-vendor **product sweeps**, re-run only for
 //!   vendors whose (consolidated) product set changed;
 //! - per-CVE **mined CWE ids** (§4.4) — descriptions are scanned once per
-//!   delivered version, then replayed through the serial apply half;
-//! - per-document **text features**: an incrementally maintained [`Idf`]
-//!   over primary descriptions (document counts are order-independent, so
-//!   add/remove replay is bit-identical to a fresh corpus fit).
+//!   delivered version, then replayed through the serial apply half.
 //!
 //! The §4.3 severity backport is the one stage that stays whole-corpus:
 //! its stratified train/test split is a global function of the label
 //! population, so any touched entry can reshuffle it. It is re-run per
-//! delta when enabled (pure — it never mutates the database), and the
-//! bench axis therefore gates the pipeline with the backport off.
+//! delta when enabled (pure — it never mutates the database).
 //!
 //! # The determinism contract
 //!
 //! Applying deltas `d1..dn` through one [`CleanState`] returns, at every
-//! step, **bit-identical** results to batch-cleaning the accumulated
-//! corpus from scratch with the same options — at any `NVD_JOBS`. The
-//! caches above never change *what* is computed, only whether a pure
-//! per-item result is recomputed; `tests/determinism.rs` enforces the
-//! contract over seeded and property-sampled delta sequences.
+//! step, **bit-identical** results to cleaning the accumulated corpus from
+//! scratch with the same options (one delta into a fresh state) — at any
+//! `NVD_JOBS`. The caches above never change *what* is computed, only
+//! whether a pure per-item result is recomputed; `tests/determinism.rs`
+//! enforces the contract over seeded and property-sampled delta sequences.
 //!
 //! # Transactional ingestion
 //!
@@ -74,23 +72,18 @@ use nvd_model::cwe::{CweCatalog, CweId};
 use nvd_model::entry::CveEntry;
 use nvd_model::feed::{item_to_entry, parse_feed_json, FeedDocument, FeedError};
 use nvd_model::prelude::{CveId, Database, ProductName, VendorName};
-use textkit::{preprocess, Idf};
 use webarchive::WebArchive;
 
-use crate::cleaner::{confirm_product, CleanOptions, CleanOutcome, CleanReport, NameReport};
+use crate::cleaner::{CleanOptions, CleanOutcome, CleanReport, NameReport};
 use crate::cwe_fix::{apply_mined_cwe_ids, mine_entry_cwe_ids, CweFixOutcome};
 use crate::disclosure::{DisclosureEstimate, DisclosureEstimator};
 use crate::names::product::sweep_vendor;
 use crate::names::{
     find_vendor_candidates_cached, NameMapping, PatternBreakdown, ProductCandidate,
-    VendorSweepCache, Verifier,
+    ProductHeuristic, VendorSweepCache, Verifier,
 };
 use crate::quality::QualityLedger;
 use crate::severity::{backport_v3, can_backport};
-
-/// Hashing seed for the carried text-feature state, matching the type
-/// classifier's default so the maintained IDF is directly reusable there.
-const TEXT_SEED: u64 = 0x7c1f;
 
 /// Why one feed failed to ingest as a whole. Produced by
 /// [`CleanState::ingest_json`] *before* any state mutation: an `Err`
@@ -192,21 +185,16 @@ struct ProductSweepEntry {
     candidates: Vec<ProductCandidate>,
 }
 
-/// Per-document text-feature carry-over: the preprocessed terms of each
-/// CVE's primary description and the incrementally maintained IDF over
-/// them.
-///
-/// Updates are folded lazily: `apply_delta` only records each delivered
-/// entry's primary description in `pending`, and [`CleanState::idf`]
-/// replays the pending add/remove pairs on first use — so deltas that
-/// never consult the text features don't pay for preprocessing. Document
-/// frequencies are order-independent counts, so the deferred replay is
-/// bit-identical to an eager fold (and to a fresh corpus fit).
-#[derive(Debug, Clone)]
-struct TextState {
-    idf: Idf,
-    terms: BTreeMap<CveId, Vec<String>>,
-    pending: Vec<(CveId, Option<String>)>,
+/// The §4.2 product-pair acceptance rule: token and abbreviation pairs are
+/// reliable; edit-distance pairs need the verifier's scrutiny, which our
+/// stand-ins only provide for vendors — so accept token/abbreviation
+/// unconditionally and edit-distance pairs only when short names make
+/// typos plausible.
+fn confirm_product(c: &ProductCandidate) -> bool {
+    match c.heuristic {
+        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
+        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
+    }
 }
 
 /// Persistent cleaning state for incremental ingestion. See the module
@@ -220,7 +208,6 @@ pub struct CleanState {
     vendor_cache: VendorSweepCache,
     product_cache: BTreeMap<VendorName, ProductSweepEntry>,
     cwe_mined: BTreeMap<CveId, Vec<CweId>>,
-    text: TextState,
     quarantine: QuarantineLedger,
 }
 
@@ -234,11 +221,6 @@ impl CleanState {
             vendor_cache: VendorSweepCache::default(),
             product_cache: BTreeMap::new(),
             cwe_mined: BTreeMap::new(),
-            text: TextState {
-                idf: Idf::new(TEXT_SEED),
-                terms: BTreeMap::new(),
-                pending: Vec::new(),
-            },
             quarantine: QuarantineLedger::default(),
         }
     }
@@ -259,40 +241,23 @@ impl CleanState {
         &self.disclosure
     }
 
-    /// The incrementally maintained IDF over primary descriptions —
-    /// bit-identical to a fresh fit over the accumulated corpus. Pending
-    /// per-delta updates are folded in on first use.
-    pub fn idf(&mut self) -> &Idf {
-        for (id, text) in std::mem::take(&mut self.text.pending) {
-            if let Some(old_terms) = self.text.terms.remove(&id) {
-                self.text.idf.remove_document(&old_terms);
-            }
-            if let Some(text) = text {
-                let terms = preprocess(&text);
-                self.text.idf.add_document(&terms);
-                self.text.terms.insert(id, terms);
-            }
-        }
-        &self.text.idf
-    }
-
     /// Applies one dated delta (new CVEs and modified redeliveries),
     /// returning the cleaned accumulated corpus, its report, and the
     /// quality ledger — bit-identical to
-    /// `Cleaner::new(options).clean(state.database(), …)` after the same
-    /// entries were pushed (the ledger additionally carries
-    /// [`crate::quality::IssueKind::Quarantined`] issues for items the
-    /// ingest path isolated, which the batch pipeline never sees).
+    /// `Cleaner::new(options).clean(state.database(), …)`, i.e. to the same
+    /// corpus applied as one delta to a fresh state (the ledger
+    /// additionally carries [`crate::quality::IssueKind::Quarantined`]
+    /// issues for items the ingest path isolated, which a batch clean
+    /// never sees).
     pub fn apply_delta<V: Verifier + Sync>(
         &mut self,
         delta: &[CveEntry],
         archive: &WebArchive,
         verifier: &V,
     ) -> CleanOutcome {
-        // Fold the delta into the accumulated corpus. Text-feature updates
-        // are queued for the lazy fold in [`Self::idf`]; the §4.2 dirty
-        // set collects every vendor whose CPE rows may change — those of
-        // each delivered entry's old and new versions.
+        // Fold the delta into the accumulated corpus. The §4.2 dirty set
+        // collects every vendor whose CPE rows may change — those of each
+        // delivered entry's old and new versions.
         let mut touched: BTreeSet<CveId> = BTreeSet::new();
         let mut dirty_vendors: BTreeSet<VendorName> = BTreeSet::new();
         for entry in delta {
@@ -300,9 +265,6 @@ impl CleanState {
                 dirty_vendors.extend(old.affected.iter().map(|c| c.vendor.clone()));
             }
             dirty_vendors.extend(entry.affected.iter().map(|c| c.vendor.clone()));
-            self.text
-                .pending
-                .push((entry.id, entry.primary_description().map(str::to_owned)));
             touched.insert(entry.id);
             self.database.push(entry.clone());
         }
@@ -337,8 +299,10 @@ impl CleanState {
         }
 
         // §4.2 — vendor names through the sweep carry-over; verification
-        // and mapping construction are cheap whole-corpus passes, re-run
-        // exactly as the batch pipeline does.
+        // and mapping construction are cheap whole-corpus passes, re-run on
+        // every delta. Pair verification stands in for the paper's manual
+        // review of every flagged pair: per-pair work with no cross-pair
+        // state, so it maps in candidate order.
         let vendor_candidates =
             find_vendor_candidates_cached(&self.database, &mut self.vendor_cache, &dirty_vendors);
         let confirmed_flags: Vec<bool> =
@@ -406,9 +370,8 @@ impl CleanState {
             cwe,
         };
         // Quality assessment over the whole accumulated corpus: detectors
-        // read only (cleaned, report, quarantine) — all of which equal the
-        // batch pipeline's on the same corpus (quarantine is empty on the
-        // pure-delta path) — so the ledger is bit-identical batch vs
+        // read only (cleaned, report, quarantine), all of which the caches
+        // above reproduce exactly, so the ledger is bit-identical batch vs
         // incremental at every step.
         let ledger = QualityLedger::assemble(&cleaned, &report, &self.quarantine);
         CleanOutcome {
@@ -579,8 +542,8 @@ impl CleanState {
             );
         }
 
-        // Concatenate per vendor in ascending order — the same order the
-        // batch sweep's parallel flatten produces.
+        // Concatenate per vendor in ascending order — the same order
+        // `find_product_candidates`'s parallel flatten produces.
         products
             .keys()
             .flat_map(|vendor| {
@@ -598,11 +561,10 @@ impl CleanState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cleaner::Cleaner;
     use crate::names::OracleVerifier;
+    use crate::reference::reference_clean;
     use nvd_synth::delta::generate_delta_stream;
     use nvd_synth::SynthConfig;
-    use textkit::PreprocessedCorpus;
 
     fn options() -> CleanOptions {
         CleanOptions {
@@ -616,7 +578,6 @@ mod tests {
         let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x1234), 3);
         let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
         let mut state = CleanState::new(options());
-        let cleaner = Cleaner::new(options());
 
         let base: Vec<_> = stream.base.iter().cloned().collect();
         let mut steps: Vec<Vec<CveEntry>> = vec![base];
@@ -624,7 +585,12 @@ mod tests {
 
         for (i, delta) in steps.iter().enumerate() {
             let inc = state.apply_delta(delta, &stream.corpus.archive, &oracle);
-            let batch = cleaner.clean(state.database(), &stream.corpus.archive, &oracle);
+            let batch = reference_clean(
+                state.database(),
+                &stream.corpus.archive,
+                &oracle,
+                &options(),
+            );
             assert_eq!(
                 inc.database.as_slice(),
                 batch.database.as_slice(),
@@ -650,7 +616,6 @@ mod tests {
         let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x1234), 2);
         let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
         let mut state = CleanState::new(CleanOptions::default());
-        let cleaner = Cleaner::default();
 
         let base: Vec<_> = stream.base.iter().cloned().collect();
         let mut steps: Vec<Vec<CveEntry>> = vec![base[..10].to_vec(), base[10..].to_vec()];
@@ -663,7 +628,12 @@ mod tests {
                 i > 0,
                 "backport ran (or was skipped) wrongly after delta {i}"
             );
-            let batch = cleaner.clean(state.database(), &stream.corpus.archive, &oracle);
+            let batch = reference_clean(
+                state.database(),
+                &stream.corpus.archive,
+                &oracle,
+                &CleanOptions::default(),
+            );
             assert_eq!(
                 inc.database.as_slice(),
                 batch.database.as_slice(),
@@ -777,46 +747,6 @@ mod tests {
                 .issues_for(&conflict_id)
                 .iter()
                 .any(|i| i.kind == IssueKind::Quarantined));
-        }
-    }
-
-    #[test]
-    fn carried_idf_matches_fresh_corpus_fit() {
-        let stream = generate_delta_stream(&SynthConfig::with_scale(0.002, 0x77), 2);
-        let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
-        let mut state = CleanState::new(options());
-        let base: Vec<_> = stream.base.iter().cloned().collect();
-        state.apply_delta(&base, &stream.corpus.archive, &oracle);
-        for feed in &stream.feeds {
-            state.apply_delta(&feed.entries(), &stream.corpus.archive, &oracle);
-        }
-
-        // Materialise the lazily folded IDF, then compare against a fresh
-        // corpus fit over the accumulated descriptions.
-        let carried = state.idf().clone();
-        let texts: Vec<&str> = state
-            .database()
-            .iter()
-            .filter_map(|e| e.primary_description())
-            .collect();
-        let corpus = PreprocessedCorpus::build(texts.iter().copied(), TEXT_SEED);
-        let fresh = Idf::fit_corpus(&corpus);
-        assert_eq!(carried.len(), fresh.len());
-        // Weight probes over every term hash the fresh fit knows, plus an
-        // unseen term (exercises the doc-count-only path).
-        for text in texts.iter().take(50) {
-            for term in preprocess(text) {
-                let h = textkit::encoder::term_features(&[term], TEXT_SEED)
-                    .keys()
-                    .next()
-                    .copied()
-                    .expect("one unigram feature");
-                assert_eq!(
-                    carried.weight(h).to_bits(),
-                    fresh.weight(h).to_bits(),
-                    "idf weight diverged"
-                );
-            }
         }
     }
 }

@@ -47,6 +47,8 @@ pub mod disclosure;
 pub mod incremental;
 pub mod names;
 pub mod quality;
+#[cfg(test)]
+mod reference;
 pub mod severity;
 pub mod typeclf;
 
@@ -58,8 +60,8 @@ pub use incremental::{
 };
 pub use names::{NameMapping, OracleVerifier, Verifier};
 pub use quality::{
-    CorpusQuality, IssueKind, IssueSeverity, NullSink, QualityIssue, QualityLedger, QualityScore,
-    QualitySink, QualityStage, Resolution, ScoreAxis,
+    CorpusQuality, IssueKind, IssueSeverity, QualityIssue, QualityLedger, QualityScore,
+    QualityStage, Resolution, ScoreAxis,
 };
 pub use severity::{backport_v3, BackportOptions, BackportOutcome, ModelKind, TrainProfile};
 pub use typeclf::{train_type_classifier, TypeClassifier, TypeClassifierOptions};

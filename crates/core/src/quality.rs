@@ -6,8 +6,7 @@
 //! detector that emits typed [`QualityIssue`]s — kind, severity,
 //! human-readable evidence, and whether the pipeline auto-fixed the
 //! problem or merely flagged it — into a per-CVE [`QualityLedger`]
-//! through the [`QualityStage`] / [`QualitySink`] emission pair, instead
-//! of mutating silently.
+//! through [`QualityStage::emit`], instead of mutating silently.
 //!
 //! Entries and the corpus are scored on three axes
 //! ([`ScoreAxis::Completeness`], [`ScoreAxis::Consistency`],
@@ -354,38 +353,9 @@ impl CorpusQuality {
     }
 }
 
-/// Where detectors put the issues they find. [`QualityLedger`] collects;
-/// [`NullSink`] discards — the silent path the overhead bench baselines.
-pub trait QualitySink {
-    /// Whether emission does anything: stages skip evidence formatting
-    /// entirely when this is `false`.
-    fn enabled(&self) -> bool;
-
-    /// Records one issue against a CVE.
-    fn emit(&mut self, id: CveId, issue: QualityIssue);
-
-    /// Records an issue whose subject has no parseable CVE id (quarantined
-    /// raw feed items).
-    fn emit_unkeyed(&mut self, raw_id: &str, issue: QualityIssue);
-}
-
-/// A sink that ignores everything — the zero-overhead silent path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl QualitySink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn emit(&mut self, _id: CveId, _issue: QualityIssue) {}
-
-    fn emit_unkeyed(&mut self, _raw_id: &str, _issue: QualityIssue) {}
-}
-
 /// One cleaning stage viewed as a quality detector: given the cleaned
 /// database and its own outcome, it emits the issues it found (and fixed)
-/// into a sink. Emission is serial and ordered — `BTreeMap` / database
+/// into the ledger. Emission is serial and ordered — `BTreeMap` / database
 /// order only — so the resulting ledger is bit-identical at any
 /// `NVD_JOBS` and across the batch and incremental paths.
 pub trait QualityStage {
@@ -393,7 +363,7 @@ pub trait QualityStage {
     fn stage_name(&self) -> &'static str;
 
     /// Emits this stage's issues over the cleaned database.
-    fn emit(&self, cleaned: &Database, sink: &mut dyn QualitySink);
+    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger);
 }
 
 /// §4.1 as a detector: per-CVE disclosure estimates vs publication dates.
@@ -408,13 +378,13 @@ impl QualityStage for DisclosureStage<'_> {
         "disclosure"
     }
 
-    fn emit(&self, cleaned: &Database, sink: &mut dyn QualitySink) {
+    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
         for entry in cleaned.iter() {
             let Some(est) = self.0.get(&entry.id) else {
                 continue;
             };
             if est.extracted == 0 {
-                sink.emit(
+                ledger.emit(
                     entry.id,
                     QualityIssue::new(
                         IssueKind::MissingDisclosure,
@@ -426,7 +396,7 @@ impl QualityStage for DisclosureStage<'_> {
                     ),
                 );
             } else if est.estimated < entry.published {
-                sink.emit(
+                ledger.emit(
                     entry.id,
                     QualityIssue::new(
                         IssueKind::PublicationLag,
@@ -457,10 +427,10 @@ impl QualityStage for NamesStage<'_> {
         "names"
     }
 
-    fn emit(&self, _cleaned: &Database, sink: &mut dyn QualitySink) {
+    fn emit(&self, _cleaned: &Database, ledger: &mut QualityLedger) {
         let stats = &self.0.apply_stats;
         for id in &stats.cves_with_vendor_fixes {
-            sink.emit(
+            ledger.emit(
                 *id,
                 QualityIssue::new(
                     IssueKind::VendorAlias,
@@ -472,7 +442,7 @@ impl QualityStage for NamesStage<'_> {
             );
         }
         for id in &stats.cves_with_product_fixes {
-            sink.emit(
+            ledger.emit(
                 *id,
                 QualityIssue::new(
                     IssueKind::ProductAlias,
@@ -499,10 +469,10 @@ impl QualityStage for CweStage<'_> {
         "cwe"
     }
 
-    fn emit(&self, cleaned: &Database, sink: &mut dyn QualitySink) {
+    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
         for entry in cleaned.iter() {
             match entry.effective_cwe() {
-                CweLabel::Other => sink.emit(
+                CweLabel::Other => ledger.emit(
                     entry.id,
                     QualityIssue::new(
                         IssueKind::DegenerateCwe,
@@ -511,7 +481,7 @@ impl QualityStage for CweStage<'_> {
                         Resolution::NeedsReview,
                     ),
                 ),
-                CweLabel::NoInfo | CweLabel::Unassigned => sink.emit(
+                CweLabel::NoInfo | CweLabel::Unassigned => ledger.emit(
                     entry.id,
                     QualityIssue::new(
                         IssueKind::MissingCwe,
@@ -542,7 +512,7 @@ impl QualityStage for CweStage<'_> {
                         continue;
                     };
                     let mined: Vec<String> = additions.iter().map(|id| id.to_string()).collect();
-                    sink.emit(
+                    ledger.emit(
                         entry.id,
                         QualityIssue::new(
                             kind,
@@ -575,7 +545,7 @@ impl QualityStage for SeverityStage<'_> {
         "severity"
     }
 
-    fn emit(&self, cleaned: &Database, sink: &mut dyn QualitySink) {
+    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
         for entry in cleaned.iter() {
             if entry.has_v3() {
                 continue;
@@ -591,7 +561,7 @@ impl QualityStage for SeverityStage<'_> {
                 },
                 None => Resolution::NeedsReview,
             };
-            sink.emit(
+            ledger.emit(
                 entry.id,
                 QualityIssue::new(IssueKind::MissingCvssV3, evidence, resolution),
             );
@@ -613,7 +583,7 @@ impl QualityStage for QuarantineStage<'_> {
         "quarantine"
     }
 
-    fn emit(&self, _cleaned: &Database, sink: &mut dyn QualitySink) {
+    fn emit(&self, _cleaned: &Database, ledger: &mut QualityLedger) {
         for record in self.0.records() {
             let why = match &record.reason {
                 QuarantineReason::MalformedItem { msg } => {
@@ -625,37 +595,10 @@ impl QualityStage for QuarantineStage<'_> {
             };
             let issue = QualityIssue::new(IssueKind::Quarantined, why, Resolution::NeedsReview);
             match record.raw_id.parse::<CveId>() {
-                Ok(id) => sink.emit(id, issue),
-                Err(_) => sink.emit_unkeyed(&record.raw_id, issue),
+                Ok(id) => ledger.emit(id, issue),
+                Err(_) => ledger.emit_unkeyed(&record.raw_id, issue),
             }
         }
-    }
-}
-
-/// Runs every stage-detector in the pipeline's canonical order
-/// (§4.1 disclosure, §4.2 names, §4.4 CWE, §4.3 severity, quarantine)
-/// against a cleaned database and its report, emitting into `sink`.
-///
-/// Skips all work — including evidence formatting inside the stages —
-/// when the sink is disabled.
-pub fn emit_issues(
-    cleaned: &Database,
-    report: &CleanReport,
-    quarantine: &QuarantineLedger,
-    sink: &mut dyn QualitySink,
-) {
-    if !sink.enabled() {
-        return;
-    }
-    let stages: [&dyn QualityStage; 5] = [
-        &DisclosureStage(&report.disclosure),
-        &NamesStage(&report.names),
-        &CweStage(&report.cwe),
-        &SeverityStage(report.severity.as_ref()),
-        &QuarantineStage(quarantine),
-    ];
-    for stage in stages {
-        stage.emit(cleaned, sink);
     }
 }
 
@@ -668,32 +611,39 @@ pub struct QualityLedger {
     unkeyed: Vec<(String, QualityIssue)>,
 }
 
-impl QualitySink for QualityLedger {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn emit(&mut self, id: CveId, issue: QualityIssue) {
-        self.issues.entry(id).or_default().push(issue);
-    }
-
-    fn emit_unkeyed(&mut self, raw_id: &str, issue: QualityIssue) {
-        self.unkeyed.push((raw_id.to_owned(), issue));
-    }
-}
-
 impl QualityLedger {
     /// Builds the ledger for a cleaned database by running every
-    /// stage-detector over the report (and the quarantine ledger, for
-    /// ingest paths; batch cleaning passes an empty one).
+    /// stage-detector over the report, in the pipeline's canonical order
+    /// (§4.1 disclosure, §4.2 names, §4.4 CWE, §4.3 severity, then the
+    /// ingest quarantine ledger — empty for a batch clean).
     pub fn assemble(
         cleaned: &Database,
         report: &CleanReport,
         quarantine: &QuarantineLedger,
     ) -> Self {
+        let stages: [&dyn QualityStage; 5] = [
+            &DisclosureStage(&report.disclosure),
+            &NamesStage(&report.names),
+            &CweStage(&report.cwe),
+            &SeverityStage(report.severity.as_ref()),
+            &QuarantineStage(quarantine),
+        ];
         let mut ledger = Self::default();
-        emit_issues(cleaned, report, quarantine, &mut ledger);
+        for stage in stages {
+            stage.emit(cleaned, &mut ledger);
+        }
         ledger
+    }
+
+    /// Records one issue against a CVE.
+    pub fn emit(&mut self, id: CveId, issue: QualityIssue) {
+        self.issues.entry(id).or_default().push(issue);
+    }
+
+    /// Records an issue whose subject has no parseable CVE id (quarantined
+    /// raw feed items).
+    pub fn emit_unkeyed(&mut self, raw_id: &str, issue: QualityIssue) {
+        self.unkeyed.push((raw_id.to_owned(), issue));
     }
 
     /// The issues recorded against one CVE (empty when pristine).
@@ -836,14 +786,6 @@ mod tests {
         assert_eq!(ledger.entries_with_issues(), 1);
         assert_eq!(ledger.unkeyed().len(), 1);
         assert!(ledger.entry_score(&id).consistency < 100);
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        assert!(!NullSink.enabled());
-        let ledger = QualityLedger::default();
-        assert!(QualitySink::enabled(&ledger));
-        assert!(ledger.is_empty());
     }
 
     #[test]

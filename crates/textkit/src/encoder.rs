@@ -324,37 +324,6 @@ impl Idf {
         }
     }
 
-    /// Removes one previously-added document's terms from the
-    /// document-frequency counts — the exact inverse of
-    /// [`Idf::add_document`], so replacing a document is
-    /// `remove_document(old)` + `add_document(new)` and the result is
-    /// bit-identical to a fresh fit over the final document set (counts
-    /// are order-independent integers; weights are computed on demand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a term hash is not present in the counts (i.e. the terms
-    /// were never added), which would silently corrupt the statistics.
-    pub fn remove_document(&mut self, terms: &[String]) {
-        assert!(self.doc_count > 0, "no documents to remove");
-        self.doc_count -= 1;
-        self.scratch.clear();
-        self.scratch
-            .extend(terms.iter().map(|t| hash_term(t, self.seed)));
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        for &h in &self.scratch {
-            let df = self
-                .doc_freq
-                .get_mut(&h)
-                .expect("removed document was previously added");
-            *df -= 1;
-            if *df == 0 {
-                self.doc_freq.remove(&h);
-            }
-        }
-    }
-
     /// Fits IDF statistics over a whole [`PreprocessedCorpus`] in one
     /// deterministic parallel pass: per-chunk document-frequency maps are
     /// folded over fixed 128-document chunks and merged in ascending chunk
@@ -718,55 +687,6 @@ mod tests {
         // And across job counts.
         let wide = minipar::with_jobs(4, || Idf::fit_corpus(&corpus));
         assert_eq!(wide.doc_freq, fitted.doc_freq);
-    }
-
-    #[test]
-    fn remove_document_inverts_add_document() {
-        let texts = [
-            "SQL injection in the login form",
-            "buffer overflow in the TIFF decoder",
-            "SQL injection in the search form",
-            "use after free in browser engine",
-        ];
-        // Add everything, replace doc 1, drop doc 3: counts must equal a
-        // fresh fit over the surviving document set.
-        let mut idf = Idf::new(0x5e17);
-        for t in texts {
-            idf.add_document(&preprocess(t));
-        }
-        let replacement = "heap overflow in the PNG decoder";
-        idf.remove_document(&preprocess(texts[1]));
-        idf.add_document(&preprocess(replacement));
-        idf.remove_document(&preprocess(texts[3]));
-
-        let mut fresh = Idf::new(0x5e17);
-        for t in [texts[0], replacement, texts[2]] {
-            fresh.add_document(&preprocess(t));
-        }
-        assert_eq!(idf.len(), fresh.len());
-        assert_eq!(idf.doc_freq, fresh.doc_freq);
-        // Weight probes, including a term only the removed docs carried.
-        for probe in ["injection", "tiff", "browser", "overflow"] {
-            let h = hash_term(&preprocess(probe)[0], 0x5e17);
-            assert_eq!(idf.weight(h).to_bits(), fresh.weight(h).to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no documents to remove")]
-    fn remove_document_from_empty_idf_panics() {
-        let mut idf = Idf::new(0x5e17);
-        idf.remove_document(&preprocess("never added"));
-    }
-
-    #[test]
-    #[should_panic(expected = "removed document was previously added")]
-    fn remove_never_added_document_panics() {
-        // A document is present, but the removed terms never were: the
-        // count underflow must be a loud panic, not silent corruption.
-        let mut idf = Idf::new(0x5e17);
-        idf.add_document(&preprocess("SQL injection in the login form"));
-        idf.remove_document(&preprocess("completely unrelated words"));
     }
 
     #[test]
