@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nvd_clean::quality::{QualityIssue, QualityLedger, QualityScore, Resolution};
+use nvd_clean::quality::{QualityIssue, QualityLedger, QualityScore, Resolution, ScoreAxis};
 use nvd_model::prelude::{
     CveEntry, CveId, CweId, Database, Date, ProductName, Severity, VendorName,
 };
@@ -47,6 +47,15 @@ use crate::query::{
 /// enough to load-balance a skewed corpus, large enough that the inline
 /// `jobs = 1` path pays no chunking overhead worth measuring.
 const POSTING_CHUNK: usize = 256;
+
+/// Every score axis, in [`ScoreAxis::code`] order: the row order of
+/// `ServeIndexState::quality_deciles`.
+const SCORE_AXES: [ScoreAxis; 4] = [
+    ScoreAxis::Completeness,
+    ScoreAxis::Consistency,
+    ScoreAxis::Accuracy,
+    ScoreAxis::Overall,
+];
 
 /// Why one warm update was rejected. Produced by
 /// [`ServeIndexState::try_apply_delta`] *before* any structure is
@@ -151,7 +160,16 @@ pub struct ServeIndexState {
     /// Per-CVE quality issues for served entries, attached via
     /// [`ServeIndexState::set_quality`]; ids absent here serve as
     /// issue-free (perfect score). Empty until a ledger is attached.
+    ///
+    /// Cost model: `set_quality` is the only writer, and it refreshes
+    /// `quality_deciles` alongside, so a `QualityHistogram` query reads
+    /// eleven counters instead of walking this map. `LinearScan` keeps
+    /// the walk as the oracle.
     quality: BTreeMap<CveId, Vec<QualityIssue>>,
+    /// Score-decile counts (buckets 0..=10) of the entries in `quality`,
+    /// one row per axis in [`ScoreAxis::code`] order. Derived from
+    /// `quality`, so [`ServeIndexState::digest`] does not fold it in.
+    quality_deciles: [[usize; 11]; 4],
 }
 
 /// A sharded view over one database: the owned [`ServeIndexState`] plus
@@ -248,6 +266,7 @@ impl ServeIndexState {
             date_order,
             projections,
             quality: BTreeMap::new(),
+            quality_deciles: [[0; 11]; 4],
         }
     }
 
@@ -262,12 +281,22 @@ impl ServeIndexState {
     /// brings quality answers up to date while every shard and posting
     /// list stays in place. The refreshed state is digest-identical to a
     /// fresh build of the same database with the same ledger attached.
+    ///
+    /// The per-axis score-decile counts that `QualityHistogram` answers
+    /// from are recounted here, one score per kept entry.
     pub fn set_quality(&mut self, ledger: &QualityLedger) {
         self.quality = ledger
             .iter()
             .filter(|(id, _)| self.index_of(**id).is_some())
             .map(|(id, issues)| (*id, issues.to_vec()))
             .collect();
+        self.quality_deciles = [[0; 11]; 4];
+        for issues in self.quality.values() {
+            let score = QualityScore::from_issues(issues);
+            for axis in SCORE_AXES {
+                self.quality_deciles[axis.code() as usize][score.bucket(axis) as usize] += 1;
+            }
+        }
     }
 
     /// Absorbs one delta in place: `db` is the **already-updated**
@@ -408,7 +437,7 @@ impl ServeIndexState {
         let id = self.ids[i as usize];
         for v in old.vendors.iter().filter(|v| !new.vendors.contains(v)) {
             let vid = name_id_of!(self.vendor_names, v.as_str()).expect("indexed vendor");
-            remove_posting(&mut self.vendor_postings[vid as usize], i);
+            remove_posting(&mut self.vendor_postings[vid as usize], i, &self.ids);
             if self.vendor_postings[vid as usize].is_empty() {
                 self.vendor_names.remove(vid as usize);
                 self.vendor_postings.remove(vid as usize);
@@ -416,7 +445,7 @@ impl ServeIndexState {
         }
         for p in old.products.iter().filter(|p| !new.products.contains(p)) {
             let pid = name_id_of!(self.product_names, p.as_str()).expect("indexed product");
-            remove_posting(&mut self.product_postings[pid as usize], i);
+            remove_posting(&mut self.product_postings[pid as usize], i, &self.ids);
             if self.product_postings[pid as usize].is_empty() {
                 self.product_names.remove(pid as usize);
                 self.product_postings.remove(pid as usize);
@@ -424,12 +453,12 @@ impl ServeIndexState {
         }
         if old.cwe != new.cwe {
             if let Some(cwe) = old.cwe {
-                remove_keyed(&mut self.cwe_postings, cwe, i);
+                remove_keyed(&mut self.cwe_postings, cwe, i, &self.ids);
             }
         }
         if old.severity != new.severity {
             if let Some(band) = old.severity {
-                remove_keyed(&mut self.severity_postings, band, i);
+                remove_keyed(&mut self.severity_postings, band, i, &self.ids);
             }
         }
         if old.published != new.published {
@@ -531,9 +560,15 @@ impl ServeIndexState {
     }
 }
 
-/// Removes `i` from an id-sorted posting list.
-fn remove_posting(list: &mut Vec<u32>, i: u32) {
-    let pos = list.iter().position(|&j| j == i).expect("posted entry");
+/// Removes `i` from a posting list sorted by CVE id.
+///
+/// # Panics
+///
+/// Panics if `i` is not in the list.
+fn remove_posting(list: &mut Vec<u32>, i: u32, ids: &[CveId]) {
+    let id = ids[i as usize];
+    let pos = list.partition_point(|&j| ids[j as usize] < id);
+    assert!(list.get(pos) == Some(&i), "posted entry");
     list.remove(pos);
 }
 
@@ -546,11 +581,11 @@ fn insert_posting(list: &mut Vec<u32>, i: u32, ids: &[CveId]) {
 
 /// Removes `i` from the keyed posting list for `key`, dropping the bucket
 /// when it empties (fresh builds only materialise non-empty buckets).
-fn remove_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<u32>)>, key: K, i: u32) {
+fn remove_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<u32>)>, key: K, i: u32, ids: &[CveId]) {
     let b = buckets
         .binary_search_by_key(&key, |&(k, _)| k)
         .expect("indexed bucket");
-    remove_posting(&mut buckets[b].1, i);
+    remove_posting(&mut buckets[b].1, i, ids);
     if buckets[b].1.is_empty() {
         buckets.remove(b);
     }
@@ -761,14 +796,11 @@ impl QueryEngine for ServeIndex<'_> {
                 }
             },
             Query::QualityHistogram { axis } => {
-                // Entries without attached issues are issue-free: all in
-                // the perfect decile, counted without being visited.
-                let mut counts = [0usize; 11];
-                counts[10] = self.len() - self.state.quality.len();
-                for issues in self.state.quality.values() {
-                    let bucket = QualityScore::from_issues(issues).bucket(*axis);
-                    counts[bucket as usize] += 1;
-                }
+                // The attached entries' deciles were counted by
+                // `set_quality`. Every other entry (including any appended
+                // by a warm `apply_delta` since) is issue-free: perfect.
+                let mut counts = self.state.quality_deciles[axis.code() as usize];
+                counts[10] += self.len() - self.state.quality.len();
                 QueryResult::QualityHistogram(quality_histogram_from_counts(&counts))
             }
         }

@@ -28,7 +28,10 @@
 //! score, or [`Query::QualityHistogram`] for corpus score-decile counts
 //! on any axis. Engines without an attached ledger serve every entry as
 //! issue-free, so quality queries stay answerable (and parity-checkable)
-//! everywhere.
+//! everywhere. Cost model: `set_quality` scores each attached entry once
+//! and keeps per-axis score-decile counts, so a histogram query is O(11)
+//! whatever the corpus size; [`LinearScan`] keeps the full ledger walk as
+//! the oracle the index is checked against.
 //!
 //! **Determinism contract:** query answers are *canonical* (see
 //! [`query`]), so results are bit-identical at any shard count and any
@@ -366,6 +369,86 @@ mod tests {
         let mut state = ServeIndex::build(&db).into_state();
         state.set_quality(&ledger);
         assert_eq!(state.digest(), attached);
+    }
+
+    /// A hand-built ledger: every `stride`-th entry of `db` carries one
+    /// to three issues of rotating kinds, half of them auto-fixed.
+    fn synthetic_ledger(db: &Database, stride: usize) -> QualityLedger {
+        use nvd_clean::quality::{IssueKind, Resolution};
+        let mut ledger = QualityLedger::default();
+        for (n, entry) in db.iter().enumerate().step_by(stride) {
+            for k in 0..=n % 3 {
+                let kind = IssueKind::ALL[(n + k) % IssueKind::ALL.len()];
+                let resolution = if (n + k) % 2 == 0 {
+                    Resolution::NeedsReview
+                } else {
+                    Resolution::AutoFixed {
+                        fix: "f".to_owned(),
+                    }
+                };
+                ledger.emit(
+                    entry.id,
+                    QualityIssue::new(kind, format!("e{n}"), resolution),
+                );
+            }
+        }
+        ledger
+    }
+
+    #[test]
+    fn warm_quality_histograms_count_appended_entries_and_refresh() {
+        fn histograms(engine: &dyn QueryEngine) -> Vec<QueryResult<'_>> {
+            [
+                ScoreAxis::Completeness,
+                ScoreAxis::Consistency,
+                ScoreAxis::Accuracy,
+                ScoreAxis::Overall,
+            ]
+            .map(|axis| engine.execute(&Query::QualityHistogram { axis }))
+            .to_vec()
+        }
+        let stream = nvd_synth::delta::generate_delta_stream(&SynthConfig::with_scale(0.004, 7), 2);
+        let mut db = stream.base.clone();
+        let l0 = synthetic_ledger(&db, 2);
+        let mut state = ServeIndex::with_shards(&db, 8)
+            .with_quality(&l0)
+            .into_state();
+        let base_len = db.len();
+        for feed in &stream.feeds {
+            let entries = feed.entries();
+            let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
+            for entry in entries {
+                db.push(entry);
+            }
+            state.apply_delta(&db, &touched);
+        }
+        assert!(db.len() > base_len, "the feeds must append new entries");
+
+        // No re-attach: the appended entries serve as issue-free.
+        let warm = state.attach(&db);
+        assert_eq!(
+            histograms(&warm),
+            histograms(&LinearScan::with_ledger(&db, &l0)),
+            "warm histograms diverged before the ledger refresh"
+        );
+
+        // A refresh replaces the counts; a second one must not add to them.
+        let l1 = synthetic_ledger(&db, 3);
+        let mut state = warm.into_state();
+        state.set_quality(&l1);
+        state.set_quality(&l1);
+        let refreshed = state.attach(&db);
+        let scan1 = LinearScan::with_ledger(&db, &l1);
+        assert_ne!(
+            histograms(&scan1),
+            histograms(&LinearScan::with_ledger(&db, &l0)),
+            "the two ledgers must score the corpus differently"
+        );
+        assert_eq!(
+            histograms(&refreshed),
+            histograms(&scan1),
+            "refreshed histograms diverged from the scan"
+        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Property-based invariants spanning the workspace crates.
 
+use std::sync::OnceLock;
+
 use nvd_clean::extract_cwe_ids;
+use nvd_clean::quality::{IssueKind, QualityIssue, QualityLedger, Resolution, ScoreAxis};
 use nvd_model::prelude::*;
+use nvd_serve::{LinearScan, Query, QueryEngine, QueryResult, ServeIndex};
 use proptest::prelude::*;
 use textkit::distance::{levenshtein, levenshtein_at_most};
 use webarchive::dates::{format_date, parse_date, DateStyle};
@@ -146,5 +150,88 @@ fn generator_calibration_is_stable_across_seeds() {
             .count() as f64
             / corpus.database.len() as f64;
         assert!((0.25..0.50).contains(&zero), "seed {seed}: zero-lag {zero}");
+    }
+}
+
+/// The corpus the quality-histogram property serves prefixes of.
+fn quality_fixture() -> &'static Database {
+    static DB: OnceLock<Database> = OnceLock::new();
+    DB.get_or_init(|| nvd_synth::generate(&nvd_synth::SynthConfig::with_scale(0.002, 19)).database)
+}
+
+/// SplitMix64: a small seeded stream for building a random ledger, which
+/// the proptest strategies cannot express directly.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+proptest! {
+    #[test]
+    fn quality_histograms_agree_across_index_scan_and_ledger(
+        served in 0usize..=48,
+        records in 0usize..=96,
+        shards in 1usize..=8,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Serve a prefix of the fixture. The ledger also names up to six
+        // fixture ids past the prefix and one id outside the fixture, none
+        // of them served. Four in nine keyed records land on four hot ids,
+        // so their per-axis deductions saturate at zero.
+        let fixture = quality_fixture();
+        let mut db = Database::new();
+        for entry in fixture.iter().take(served) {
+            db.push(entry.clone());
+        }
+        let mut pool: Vec<CveId> = fixture.iter().take(served + 6).map(|e| e.id).collect();
+        pool.push("CVE-1999-9999999".parse().expect("valid id"));
+        let mut rng = SplitMix(seed);
+        let mut ledger = QualityLedger::default();
+        for k in 0..records {
+            let kind = IssueKind::ALL[rng.below(IssueKind::ALL.len())];
+            let resolution = if rng.below(2) == 0 {
+                Resolution::NeedsReview
+            } else {
+                Resolution::AutoFixed { fix: format!("fix{k}") }
+            };
+            let issue = QualityIssue::new(kind, format!("e{k}"), resolution);
+            match rng.below(10) {
+                0 => ledger.emit_unkeyed(&format!("raw-{k}"), issue),
+                1..=4 => ledger.emit(pool[rng.below(pool.len().min(4))], issue),
+                _ => ledger.emit(pool[rng.below(pool.len())], issue),
+            }
+        }
+
+        let index = ServeIndex::with_shards(&db, shards).with_quality(&ledger);
+        let scan = LinearScan::with_ledger(&db, &ledger);
+        for axis in [
+            ScoreAxis::Completeness,
+            ScoreAxis::Consistency,
+            ScoreAxis::Accuracy,
+            ScoreAxis::Overall,
+        ] {
+            let q = Query::QualityHistogram { axis };
+            let answer = index.execute(&q);
+            prop_assert_eq!(&answer, &scan.execute(&q), "index vs scan on {:?}", axis);
+            let deciles = ledger.histogram(&db, axis);
+            let from_ledger: Vec<(u8, usize)> = (0u8..=10)
+                .zip(deciles)
+                .filter(|&(_, c)| c > 0)
+                .collect();
+            prop_assert_eq!(
+                &answer,
+                &QueryResult::QualityHistogram(from_ledger),
+                "index vs ledger on {:?}",
+                axis
+            );
+            prop_assert_eq!(deciles.iter().sum::<usize>(), db.len());
+        }
     }
 }
