@@ -7,11 +7,7 @@ best/mean/stddev/p50/p99 per bench id.  ``MANIFEST`` lists, per artifact,
 the ``(new, baseline)`` id pairs that must satisfy
 ``new.metric < baseline.metric`` for every gated metric — ``best_ns`` by
 default, optionally ``p99_ns`` too for latency-sensitive paths (the serve
-gate compares tails, not just bests).  An entry may carry a fourth
-element, ``max_ratio``: the gate then allows ``new`` up to
-``baseline * max_ratio`` instead of demanding a strict win — used for
-the fault-aware engine's overhead budget (at most 5% on the healthy
-path) rather than a speedup claim.  Every "the new implementation
+gate compares tails, not just bests).  Every "the new implementation
 must beat its in-bench legacy replica at jobs=1" gate goes through here
 instead of a copy-pasted inline-Python step per bench.
 
@@ -35,10 +31,8 @@ import json
 import os
 import sys
 
-# Per artifact: (new_id, baseline_id) gated on best_ns,
-# (new_id, baseline_id, (metric, ...)) to gate several metrics, or
-# (new_id, baseline_id, (metric, ...), max_ratio) to gate an overhead
-# budget (new < baseline * max_ratio) instead of a strict win.
+# Per artifact: (new_id, baseline_id) gated on best_ns, or
+# (new_id, baseline_id, (metric, ...)) to gate several metrics.
 MANIFEST = {
     "BENCH_mlkit.json": [
         ("mlkit_fit/batched/jobs_1", "mlkit_fit/legacy_per_sample"),
@@ -50,9 +44,6 @@ MANIFEST = {
     "BENCH_names.json": [
         ("names_vendor_sweep/new/jobs_1", "names_vendor_sweep/legacy"),
         ("names_product_sweep/new/jobs_1", "names_product_sweep/legacy"),
-    ],
-    "BENCH_crawl.json": [
-        ("crawl_estimate/new/jobs_1", "crawl_estimate/legacy"),
     ],
     "BENCH_serve.json": [
         # The headline serve gate is latency-aware: indexed lookups must
@@ -78,16 +69,7 @@ MANIFEST = {
         ("ingest_serve/apply_delta", "ingest_serve/rebuild", ("best_ns", "p99_ns")),
     ],
     "BENCH_faults.json": [
-        # Fault handling must be free when nothing fails: the retry engine
-        # under an empty plan may cost at most 5% over the plain engine,
-        # on the best observation and at the p99 tail.
-        (
-            "crawl_faults/new/no_fault",
-            "crawl_faults/legacy",
-            ("best_ns", "p99_ns"),
-            1.05,
-        ),
-        # And recovery must be worth having: quarantining a corrupt feed
+        # Recovery must be worth having: quarantining a corrupt feed
         # through the warm state beats re-cleaning the corpus from scratch.
         (
             "ingest_recover/quarantine/jobs_1",
@@ -150,7 +132,6 @@ def main(argv):
         for entry in pairs:
             new_id, baseline_id = entry[0], entry[1]
             metrics = entry[2] if len(entry) > 2 else DEFAULT_METRICS
-            max_ratio = entry[3] if len(entry) > 3 else 1.0
             missing = [i for i in (new_id, baseline_id) if i not in stats]
             if missing:
                 sys.exit(f"{name}: bench id(s) missing from artifact: {missing}")
@@ -165,26 +146,14 @@ def main(argv):
                         "regenerate the artifact with the current criterion shim"
                     )
                 checked += 1
-                if new[metric] < baseline[metric] * max_ratio:
-                    ratio = new[metric] / baseline[metric]
-                    if max_ratio > 1.0:
-                        print(
-                            f"{name}: OK [{metric}] — {new_id} is {ratio:.3f}x "
-                            f"of {baseline_id} (budget {max_ratio:.2f}x)"
-                        )
-                    else:
-                        print(
-                            f"{name}: OK [{metric}] — {new_id} is {1 / ratio:.2f}x "
-                            f"faster than {baseline_id}"
-                        )
-                else:
-                    bound = (
-                        f"exceeds {max_ratio:.2f}x of"
-                        if max_ratio > 1.0
-                        else "is no faster than"
+                if new[metric] < baseline[metric]:
+                    print(
+                        f"{name}: OK [{metric}] — {new_id} is "
+                        f"{baseline[metric] / new[metric]:.2f}x faster than {baseline_id}"
                     )
+                else:
                     failures.append(
-                        f"{name}: {new_id} {bound} {baseline_id} on {metric}"
+                        f"{name}: {new_id} is no faster than {baseline_id} on {metric}"
                     )
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -2,7 +2,7 @@
 //!
 //! The paper projects the feature vectors of ground-truth CVEs to three
 //! dimensions and observes that vulnerabilities with Low v2 severity are
-//! "scattered in the space, [while] High and Medium in v2 have followed
+//! "scattered in the space, \[while\] High and Medium in v2 have followed
 //! specific and clear patterns". A figure is reproduced here as its
 //! numeric skeleton: per (v2 band, v3 band) group sizes, 3-D centroids,
 //! and within-group spread, plus a per-v2-band *scatter index* (mean

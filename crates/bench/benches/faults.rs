@@ -1,29 +1,21 @@
-//! Fault-path benches: what the retry engine costs when nothing fails,
-//! and what quarantine-and-continue recovery saves over re-cleaning from
-//! scratch after a corrupt feed.
+//! Fault-path bench: what quarantine-and-continue recovery saves over
+//! re-cleaning from scratch after a corrupt feed.
 //!
 //! Run with `BENCH_JSON=BENCH_faults.json cargo bench -p nvd-bench --bench
-//! faults` to emit the artifact CI uploads. Two gated questions:
-//!
-//! * `crawl_faults` — the fault-aware scheduler under an **empty** plan
-//!   must stay within 5% of the plain engine (best and p99), so turning
-//!   fault handling on costs nothing on the healthy path;
-//! * `ingest_recover` — ingesting a corrupt delta through the warm
-//!   [`CleanState`] quarantine path must beat batch re-cleaning the
-//!   accumulated corpus from scratch.
-//!
-//! Both parity-assert before timing: the empty-plan crawl is outcome-
-//! identical to the plain crawl, and the quarantine ingest is bit-identical
-//! to the batch pipeline over the post-admission corpus.
+//! faults` to emit the artifact CI uploads. The gated question,
+//! `ingest_recover`: ingesting a corrupt delta through the warm
+//! [`CleanState`] quarantine path must beat batch re-cleaning the
+//! accumulated corpus from scratch. It parity-asserts before timing: the
+//! quarantine ingest is bit-identical to the batch pipeline over the
+//! post-admission corpus.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use nvd_bench::{bench_corpus, BENCH_SEED};
+use nvd_bench::BENCH_SEED;
 use nvd_clean::cleaner::{CleanOptions, Cleaner};
 use nvd_clean::names::OracleVerifier;
 use nvd_clean::CleanState;
 use nvd_synth::faults::corrupt_delta_stream;
 use nvd_synth::SynthConfig;
-use webarchive::{CrawlEngine, CrawlerSet, FaultPlan, RetryPolicy};
 
 /// Same stream shape as the ingest benches: every from-scratch sample
 /// re-runs the whole pipeline, so the corpus stays modest.
@@ -35,40 +27,6 @@ fn options() -> CleanOptions {
         run_backport: false,
         ..CleanOptions::default()
     }
-}
-
-fn crawl_no_fault_overhead(c: &mut Criterion) {
-    let corpus = bench_corpus();
-    let crawlers = CrawlerSet::builtin();
-    let urls: Vec<&str> = corpus
-        .database
-        .iter()
-        .flat_map(|e| e.references.iter().map(|r| r.url.as_str()))
-        .collect();
-    let plan = FaultPlan::new(BENCH_SEED);
-    let plain = CrawlEngine::new(&corpus.archive, &crawlers);
-    let faulty =
-        CrawlEngine::new(&corpus.archive, &crawlers).with_faults(&plan, RetryPolicy::default());
-
-    // Parity gate before timing: with nothing failing, the fault-aware
-    // engine must reproduce the plain engine outcome for outcome.
-    assert_eq!(
-        faulty.crawl(&urls),
-        plain.crawl(&urls),
-        "empty fault plan changed crawl outcomes"
-    );
-
-    // 100 samples so the nearest-rank p99 is a real percentile — the 5%
-    // overhead gate compares tails, not just bests.
-    let mut group = c.benchmark_group("crawl_faults");
-    group.sample_size(100);
-    group.bench_function("new/no_fault", |b| {
-        b.iter(|| minipar::with_jobs(1, || faulty.crawl(black_box(&urls))))
-    });
-    group.bench_function("legacy", |b| {
-        b.iter(|| minipar::with_jobs(1, || plain.crawl(black_box(&urls))))
-    });
-    group.finish();
 }
 
 fn ingest_recover(c: &mut Criterion) {
@@ -146,6 +104,6 @@ fn ingest_recover(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = crawl_no_fault_overhead, ingest_recover
+    targets = ingest_recover
 );
 criterion_main!(benches);

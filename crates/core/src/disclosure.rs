@@ -10,11 +10,10 @@
 //! of the batch becomes an explicit request, with host interning, per-host
 //! memoised dispatch, and page fetch + date extraction fanned over the
 //! `minipar` pool. The per-CVE fold is order-independent over the result
-//! multiset, so the estimator consumes the engine's request-keyed bulk
-//! results (`crawl_results`) — the virtual-clock completion order the
-//! engine can also emit carries no extra information for this fold — and
-//! estimates are bit-identical at any `NVD_JOBS` setting, and to the
-//! pre-engine per-entry loops frozen in [`legacy`].
+//! multiset, so the estimator consumes the engine's request-keyed results
+//! ([`CrawlEngine::crawl_results`]), and estimates are bit-identical at any
+//! `NVD_JOBS` setting. The workspace determinism suite pins them to a serial
+//! fetch-and-extract oracle.
 
 use std::collections::BTreeMap;
 
@@ -182,8 +181,7 @@ impl<'a> DisclosureEstimator<'a> {
     /// (`NVD_JOBS` controls the width). Results come back keyed by request
     /// id, so each entry folds exactly the contiguous result slice its
     /// references occupy; every aggregation rule is order-independent over
-    /// the date multiset, so the map is bit-identical at any thread count
-    /// and to the pre-engine per-entry loops in [`legacy`].
+    /// the date multiset, so the map is bit-identical at any thread count.
     pub fn estimate_all(&self, db: &Database) -> BTreeMap<CveId, DisclosureEstimate> {
         let entries: Vec<&CveEntry> = db.iter().collect();
         let total_refs: usize = entries.iter().map(|e| e.references.len()).sum();
@@ -200,86 +198,6 @@ impl<'a> DisclosureEstimator<'a> {
             offset = next;
         }
         minipar::par_map(&items, |&(e, slice)| (e.id, self.fold_entry(e, slice)))
-            .into_iter()
-            .collect()
-    }
-}
-
-/// Frozen pre-engine replicas of the §4.1 crawl loops.
-///
-/// Behavioural copies of the per-entry serial fetch loop (and its
-/// `par_map`-per-entry `estimate_all`) this crate shipped before the
-/// scheduled crawl engine, kept verbatim so that (a) the determinism suite
-/// can pin the engine's estimates to the pre-engine path on arbitrary
-/// corpora, and (b) the CI-gated crawl bench has a faithful baseline the
-/// engine must beat at `NVD_JOBS=1`. Not part of the supported API.
-pub mod legacy {
-    use super::*;
-    use webarchive::FetchError;
-
-    /// The pre-engine per-entry loop, verbatim: fetch each reference
-    /// serially through [`WebArchive::fetch`], extract via
-    /// [`CrawlerSet::extract`], then aggregate inline. Deliberately shares
-    /// no code with [`DisclosureEstimator::estimate`] so the baseline stays
-    /// frozen no matter how the engine path evolves.
-    pub fn estimate_legacy(
-        estimator: &DisclosureEstimator<'_>,
-        entry: &CveEntry,
-    ) -> DisclosureEstimate {
-        let mut dates: Vec<Date> = Vec::with_capacity(entry.references.len());
-        let mut fetched = 0usize;
-        let mut failed = 0usize;
-        for reference in &entry.references {
-            match estimator.archive.fetch(&reference.url) {
-                Ok(page) => {
-                    fetched += 1;
-                    if let Some(date) = estimator.crawlers.extract(page) {
-                        dates.push(date);
-                    }
-                }
-                Err(FetchError::HostUnreachable { .. }) | Err(FetchError::NotFound { .. }) => {
-                    failed += 1;
-                }
-            }
-        }
-        let extracted = dates.len();
-        let aggregated = match estimator.rule {
-            AggregationRule::Minimum => dates.iter().copied().min(),
-            AggregationRule::Median => {
-                dates.sort_unstable();
-                dates.get(dates.len() / 2).copied()
-            }
-            AggregationRule::Mean => {
-                if dates.is_empty() {
-                    None
-                } else {
-                    let sum: i64 = dates.iter().map(|d| i64::from(d.day_number())).sum();
-                    Some(Date::from_day_number((sum / dates.len() as i64) as i32))
-                }
-            }
-        };
-        let estimated = match aggregated {
-            Some(d) if estimator.rule != AggregationRule::Minimum => d,
-            Some(d) => d.min(entry.published),
-            None => entry.published,
-        };
-        DisclosureEstimate {
-            estimated,
-            references: entry.references.len(),
-            fetched,
-            failed,
-            extracted,
-        }
-    }
-
-    /// The pre-engine `estimate_all`: one serial fetch loop per entry,
-    /// entries fanned over `minipar`.
-    pub fn estimate_all_legacy(
-        estimator: &DisclosureEstimator<'_>,
-        db: &Database,
-    ) -> BTreeMap<CveId, DisclosureEstimate> {
-        let entries: Vec<&CveEntry> = db.iter().collect();
-        minipar::par_map(&entries, |e| (e.id, estimate_legacy(estimator, e)))
             .into_iter()
             .collect()
     }
@@ -508,6 +426,10 @@ mod tests {
 
     #[test]
     fn engine_matches_legacy_per_entry() {
+        // The pre-engine loop fetched each reference serially and
+        // aggregated inline; these are its estimates for this entry, whose
+        // osvdb.org reference is dead. The same loop checks generated
+        // corpora in `tests/determinism.rs`.
         let mut archive = WebArchive::new();
         let mut e = entry_with_refs(
             &mut archive,
@@ -518,15 +440,21 @@ mod tests {
             ],
         );
         e.published = date("2013-03-01");
-        for rule in [
-            AggregationRule::Minimum,
-            AggregationRule::Median,
-            AggregationRule::Mean,
+        for (rule, legacy) in [
+            (AggregationRule::Minimum, "2013-02-01"),
+            (AggregationRule::Median, "2013-02-03"),
+            (AggregationRule::Mean, "2013-02-02"),
         ] {
             let estimator = DisclosureEstimator::new(&archive).with_rule(rule);
             assert_eq!(
                 estimator.estimate(&e),
-                legacy::estimate_legacy(&estimator, &e),
+                DisclosureEstimate {
+                    estimated: date(legacy),
+                    references: 3,
+                    fetched: 2,
+                    failed: 1,
+                    extracted: 2,
+                },
                 "engine diverged from the pre-engine loop under {rule:?}"
             );
         }

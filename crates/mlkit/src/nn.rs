@@ -500,7 +500,7 @@ impl Network {
 
     /// Runs the batched forward pass over every row of `x`, returning the
     /// `x.rows() × output_len()` activation matrix. Large inputs are
-    /// processed in [`PREDICT_CHUNK`]-row chunks so workspace memory stays
+    /// processed in `PREDICT_CHUNK`-row chunks so workspace memory stays
     /// bounded; chunking never changes values (rows are independent).
     ///
     /// # Panics

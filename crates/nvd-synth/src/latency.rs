@@ -7,7 +7,7 @@
 //! occasional congested outlier. This module samples one [`LatencyModel`]
 //! per corpus seed with exactly that shape.
 //!
-//! Sampling runs on its own derived RNG stream ([`LATENCY_STREAM`]), so
+//! Sampling runs on its own derived RNG stream (`LATENCY_STREAM`), so
 //! adding latency to a corpus never perturbs the entries, references or
 //! ground truth the seed generated before latency existed.
 
@@ -27,7 +27,7 @@ const CONGESTED_SHARE: f64 = 0.12;
 /// Service times are log-uniform per category — advisories ≈2–50 ms,
 /// vulnerability databases ≈4–100 ms, bug trackers / mail archives
 /// ≈8–400 ms — with jitter at a third of base and politeness gaps of
-/// 1–30 ms; a [`CONGESTED_SHARE`] fraction of hosts is 6× slower. All in
+/// 1–30 ms; a `CONGESTED_SHARE` fraction of hosts is 6× slower. All in
 /// virtual ticks (≈1 µs): the scheduler's clock jumps, it never sleeps.
 pub fn sample_latency_model(seed: u64) -> LatencyModel {
     let mut rng = StdRng::seed_from_u64(minipar::derive_seed(seed, LATENCY_STREAM));

@@ -503,7 +503,7 @@ fn draft_entry(ctx: &DraftContext<'_>, plan: &EntryPlan, rng: &mut StdRng) -> En
 ///
 /// Deterministic: equal configs produce identical corpora, at any
 /// `NVD_JOBS` setting. Per-CVE drafting runs on the [`minipar`] pool with
-/// one derived RNG stream per [`GEN_CHUNK`]-sized chunk; the archive and
+/// one derived RNG stream per `GEN_CHUNK`-sized chunk; the archive and
 /// ground truth are then assembled sequentially in plan order, so page URLs
 /// (numbered per host in publication order) never depend on scheduling.
 pub fn generate(config: &SynthConfig) -> SynthCorpus {

@@ -8,7 +8,7 @@
 //! * **§4.2 name consolidation** needs string-similarity primitives —
 //!   [`distance::levenshtein`], [`distance::longest_common_substring_len`],
 //!   prefix tests, plus CPE-name tokenisation and abbreviation extraction in
-//!   [`tokenize`];
+//!   [`tokenize`](mod@tokenize);
 //! * **§4.4 type classification** needs the description-preprocessing
 //!   pipeline ([`preprocess::Preprocessor`], a single-pass, buffer-reusing
 //!   implementation of case folding, contraction expansion, stop-word

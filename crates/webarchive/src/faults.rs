@@ -59,7 +59,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan. `seed` feeds the [`FaultMode::Transient`] draws.
-    pub fn new(seed: u64) -> Self {
+    pub const fn new(seed: u64) -> Self {
         Self {
             modes: BTreeMap::new(),
             seed,
@@ -135,7 +135,14 @@ impl RetryPolicy {
         if self.backoff_jitter_ticks == 0 {
             return base;
         }
-        base + fault_hash(0xb0ff, url, attempt) % (self.backoff_jitter_ticks + 1)
+        let hash = fault_hash(0xb0ff, url, attempt);
+        // `jitter + 1` only overflows at `u64::MAX`, where every hash is
+        // already in range.
+        let jitter = match self.backoff_jitter_ticks.checked_add(1) {
+            Some(span) => hash % span,
+            None => hash,
+        };
+        base.saturating_add(jitter)
     }
 }
 
@@ -244,6 +251,17 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(p.backoff_ticks("u", 40), u64::MAX);
+        // Jitter on top of a saturated base, and the widest jitter span.
+        let jittered = RetryPolicy {
+            backoff_jitter_ticks: 9,
+            ..p
+        };
+        assert_eq!(jittered.backoff_ticks("u", 40), u64::MAX);
+        let widest = RetryPolicy {
+            backoff_jitter_ticks: u64::MAX,
+            ..RetryPolicy::default()
+        };
+        assert!(widest.backoff_ticks("u", 1) >= widest.backoff_base_ticks);
     }
 
     #[test]

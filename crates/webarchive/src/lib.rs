@@ -33,12 +33,13 @@
 //!   [`RetryPolicy`] (timeouts, bounded retries with exponential backoff +
 //!   URL-hashed jitter, per-host circuit breaker) the scheduler recovers
 //!   with — all pure functions of the seed, never of wall-clock time;
-//! * [`scheduler`] — the request/response crawl engine: per-domain
-//!   politeness queues, a bounded in-flight window, and a virtual-clock
-//!   completion order that is bit-identical at any `NVD_JOBS`, with page
-//!   fetch + date extraction fanned over the `minipar` pool; under a fault
-//!   plan the same guarantees extend to retries, timeouts and
-//!   circuit-open resolutions.
+//! * [`scheduler`] — the request/response crawl engine: one scheduler with
+//!   per-domain politeness queues, a bounded in-flight window, retries,
+//!   timeouts and circuit-open resolutions under the engine's fault plan,
+//!   and a virtual-clock completion order that is bit-identical at any
+//!   `NVD_JOBS`. [`CrawlEngine::crawl_results`] is the one crawl call:
+//!   page fetch + date extraction fanned over the `minipar` pool, results
+//!   keyed by request id; under an empty plan it skips the schedule.
 //!
 //! ## Example
 //!
@@ -75,6 +76,5 @@ pub use domains::{builtin_domains, domain_spec, DomainCategory, DomainSpec};
 pub use faults::{FaultMode, FaultPlan, RetryPolicy};
 pub use latency::{LatencyModel, LatencyProfile};
 pub use scheduler::{
-    schedule, schedule_with_faults, CrawlCompletion, CrawlEngine, CrawlOutcome, CrawlResult,
-    CrawlSchedule, FaultSchedule, RequestFate, DEFAULT_WINDOW,
+    schedule, CrawlCompletion, CrawlEngine, CrawlResult, CrawlSchedule, RequestFate, DEFAULT_WINDOW,
 };

@@ -17,27 +17,29 @@
 //!   broken by request id), so the completion order is a pure function of
 //!   the URL list and the latency model — bit-identical at any `NVD_JOBS`.
 //!
+//! Each host has a fault mode from the engine's [`FaultPlan`] (most have
+//! none), and a failed attempt is retried under its [`RetryPolicy`]:
+//! timeouts, exponential backoff with URL-hashed jitter, and a per-host
+//! circuit breaker. Under an empty plan every request is delivered on its
+//! first attempt.
+//!
 //! [`schedule`] computes the completion order without touching page bodies.
 //! When the window cannot bind — at most one request is in flight per host,
 //! so `window >= hosts` makes the cap unreachable — every host is an
-//! independent politeness chain and the schedule is computed by a linear
-//! per-host recurrence plus one sort, skipping the event loop entirely;
-//! batches fanning over more hosts than the window run the full
-//! event-driven simulation. Both paths produce the identical schedule on
-//! their shared domain (unit-tested).
+//! independent chain of attempts and the schedule is computed per host
+//! plus one sort, skipping the event loop entirely; batches fanning over
+//! more hosts than the window run the full event-driven simulation. Both
+//! paths produce the identical schedule on their shared domain
+//! (unit-tested).
 //!
-//! [`CrawlEngine::crawl`] then replays the schedule against the archive:
-//! fetch + date extraction run over the `minipar` pool in request order
-//! (contiguous, cache-friendly), with per-host dispatch memoised — the
-//! schedule already carries each request's interned host id, so liveness,
-//! crawler support and the domain spec are resolved once per host and the
-//! per-URL fast path is pure vector indexing. That, plus allocation-free
-//! failure outcomes and never looking up pages on dead hosts, is where the
-//! jobs=1 win over the legacy per-entry loop comes from. Outcomes are
-//! emitted in virtual completion order. [`CrawlEngine::crawl_results`] is
-//! the request-id-keyed bulk variant for order-independent folds: result
-//! values are schedule-invariant, so it elides the virtual-clock
-//! bookkeeping and runs the dispatch + replay alone.
+//! [`CrawlEngine::crawl_results`] is the engine's one crawl call: it
+//! replays the batch against the archive with fetch + date extraction run
+//! over the `minipar` pool in request order (contiguous, cache-friendly),
+//! with liveness, crawler support and the domain spec resolved once per
+//! host, so the per-URL fast path is pure vector indexing. Results are
+//! keyed by request id. What a fetch returns never depends on *when* it is
+//! dispatched unless a fault can fire, so under an empty plan — the
+//! production §4.1 path — the schedule is skipped altogether.
 //!
 //! The same schedule-then-complete shape is what a real async runtime or a
 //! remote archive backend would slot into: only the completion replay —
@@ -105,64 +107,6 @@ pub struct CrawlCompletion {
     pub finished_at: u64,
 }
 
-/// A complete crawl plan: completions in virtual completion order, plus the
-/// host interning the replay phase indexes by.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrawlSchedule<'u> {
-    /// All requests, ordered by `(finished_at, id)`.
-    pub completions: Vec<CrawlCompletion>,
-    /// Virtual tick the last response arrived at.
-    pub makespan: u64,
-    /// Distinct hosts the batch touches, in first-appearance order.
-    pub hosts: Vec<&'u str>,
-    /// Interned host id (index into [`Self::hosts`]) per request.
-    pub request_host: Vec<u32>,
-}
-
-impl CrawlSchedule<'_> {
-    /// Sum of the individual service times — what a politeness-free serial
-    /// crawl would cost in virtual time. The gap to [`Self::makespan`] is
-    /// the skew the in-flight window hid.
-    pub fn serial_ticks(&self) -> u64 {
-        self.completions
-            .iter()
-            .map(|c| c.finished_at - c.started_at)
-            .sum()
-    }
-}
-
-/// Computes the deterministic completion order for a batch of URLs.
-///
-/// Event-driven simulation: at each virtual tick, every eligible request is
-/// dispatched (host idle, politeness gap elapsed, window not full; ties go
-/// to the host that entered the batch first), then the clock jumps to the
-/// next completion or politeness expiry. No real time passes. When
-/// `window >= hosts` the cap is unreachable and the identical schedule is
-/// computed by per-host chains instead (see the module docs).
-///
-/// # Panics
-///
-/// Panics if `window == 0`.
-pub fn schedule<'u>(urls: &[&'u str], model: &LatencyModel, window: usize) -> CrawlSchedule<'u> {
-    assert!(window >= 1, "schedule: in-flight window must be at least 1");
-
-    let (hosts, request_host) = intern_hosts(urls);
-    let profiles: Vec<&LatencyProfile> = hosts.iter().map(|h| model.profile(h)).collect();
-
-    let completions = if hosts.len() <= window {
-        chain_schedule(urls, &request_host, hosts.len(), &profiles)
-    } else {
-        windowed_schedule(urls, &request_host, hosts.len(), &profiles, window)
-    };
-    let makespan = completions.last().map_or(0, |c| c.finished_at);
-    CrawlSchedule {
-        completions,
-        makespan,
-        hosts,
-        request_host,
-    }
-}
-
 /// Interns each URL's host, in first-appearance order: the distinct hosts
 /// plus the host id (index into the first vector) of every request.
 fn intern_hosts<'u>(urls: &[&'u str]) -> (Vec<&'u str>, Vec<u32>) {
@@ -180,124 +124,7 @@ fn intern_hosts<'u>(urls: &[&'u str]) -> (Vec<&'u str>, Vec<u32>) {
     (hosts, request_host)
 }
 
-/// The window-free fast path: with at most one request in flight per host
-/// and `window >= hosts`, hosts never contend for window slots, so each
-/// host is an independent chain with the recurrence
-/// `start = max(prev_start + politeness, prev_finish)`; the global
-/// completion order is one sort by `(finish, id)`.
-fn chain_schedule(
-    urls: &[&str],
-    request_host: &[u32],
-    host_count: usize,
-    profiles: &[&LatencyProfile],
-) -> Vec<CrawlCompletion> {
-    let mut last_start = vec![0u64; host_count];
-    let mut last_finish = vec![0u64; host_count];
-    let mut dispatched = vec![false; host_count];
-    let mut completions = Vec::with_capacity(urls.len());
-    for (id, (url, &hid)) in urls.iter().zip(request_host).enumerate() {
-        let h = hid as usize;
-        let p = profiles[h];
-        let started_at = if dispatched[h] {
-            (last_start[h] + p.politeness_ticks).max(last_finish[h])
-        } else {
-            dispatched[h] = true;
-            0
-        };
-        let finished_at = started_at + p.sample(url);
-        last_start[h] = started_at;
-        last_finish[h] = finished_at;
-        completions.push(CrawlCompletion {
-            id,
-            started_at,
-            finished_at,
-        });
-    }
-    completions.sort_unstable_by_key(|c| (c.finished_at, c.id));
-    completions
-}
-
-/// The general event loop, for batches fanning over more hosts than the
-/// window admits.
-fn windowed_schedule(
-    urls: &[&str],
-    request_host: &[u32],
-    host_count: usize,
-    profiles: &[&LatencyProfile],
-    window: usize,
-) -> Vec<CrawlCompletion> {
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); host_count];
-    for (i, &h) in request_host.iter().enumerate() {
-        queues[h as usize].push_back(i);
-    }
-
-    // Hosts that are idle and have queued work, keyed by the earliest tick
-    // they may dispatch at (then host id, so ties are deterministic).
-    let mut ready: BTreeSet<(u64, usize)> = (0..host_count).map(|h| (0u64, h)).collect();
-    let mut next_allowed = vec![0u64; host_count];
-    let mut in_flight: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut started = vec![0u64; urls.len()];
-    let mut completions = Vec::with_capacity(urls.len());
-    let mut clock = 0u64;
-
-    loop {
-        // Dispatch everything eligible at the current tick.
-        while in_flight.len() < window {
-            let Some(&(t, h)) = ready.iter().next() else {
-                break;
-            };
-            if t > clock {
-                break;
-            }
-            ready.remove(&(t, h));
-            let req = queues[h].pop_front().expect("ready hosts have work");
-            let finish = clock + profiles[h].sample(urls[req]);
-            started[req] = clock;
-            in_flight.push(Reverse((finish, req)));
-            next_allowed[h] = clock + profiles[h].politeness_ticks;
-            // One in flight per host: `h` re-enters `ready` on completion.
-        }
-
-        let Some(&Reverse((next_finish, _))) = in_flight.peek() else {
-            match ready.iter().next() {
-                // Nothing in flight but a politeness timer is pending.
-                Some(&(t, _)) => {
-                    clock = t;
-                    continue;
-                }
-                None => break, // drained
-            }
-        };
-
-        // If a politeness timer expires before the next completion and the
-        // window has room, advance to it and dispatch first.
-        if in_flight.len() < window {
-            if let Some(&(t, _)) = ready.iter().next() {
-                if t < next_finish {
-                    clock = t;
-                    continue;
-                }
-            }
-        }
-
-        // Otherwise the next event is the earliest completion.
-        let Reverse((finish, req)) = in_flight.pop().expect("peeked non-empty");
-        clock = finish;
-        completions.push(CrawlCompletion {
-            id: req,
-            started_at: started[req],
-            finished_at: finish,
-        });
-        let h = request_host[req] as usize;
-        if !queues[h].is_empty() {
-            ready.insert((next_allowed[h].max(clock), h));
-        }
-    }
-
-    completions
-}
-
-/// How a request under a fault plan ultimately resolved.
+/// How a request ultimately resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestFate {
     /// The final attempt got a response; the replay decides what it says.
@@ -309,11 +136,12 @@ pub enum RequestFate {
     CircuitOpen,
 }
 
-/// A fault-aware crawl plan: one final completion per request (the last
+/// A complete crawl plan: one final completion per request (the last
 /// attempt's window, or the abandonment tick for circuit-open requests),
-/// plus per-request attempt counts and fates.
+/// per-request attempt counts and fates, and the host interning the replay
+/// phase indexes by.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSchedule<'u> {
+pub struct CrawlSchedule<'u> {
     /// Final completions, ordered by `(finished_at, id)`.
     pub completions: Vec<CrawlCompletion>,
     /// Attempts dispatched per request id (0 for circuit-open requests).
@@ -328,9 +156,8 @@ pub struct FaultSchedule<'u> {
     pub request_host: Vec<u32>,
 }
 
-/// Per-host retry/breaker state shared by both fault scheduling paths.
-#[derive(Clone)]
-struct FaultHostState {
+/// Per-host politeness/retry/breaker state of the chain path.
+struct HostState {
     prev_start: u64,
     busy_until: u64,
     dispatched: bool,
@@ -342,7 +169,7 @@ struct FaultHostState {
     abandoned_at: Option<u64>,
 }
 
-impl FaultHostState {
+impl HostState {
     fn new() -> Self {
         Self {
             prev_start: 0,
@@ -354,10 +181,14 @@ impl FaultHostState {
     }
 }
 
-/// Computes the deterministic fault-aware completion order for a batch.
+/// Computes the deterministic completion order for a batch.
 ///
-/// Identical politeness/window semantics to [`schedule`], with the fault
-/// layer on top: an attempt dispatched at tick `t` fails iff
+/// Event-driven simulation: at each virtual tick, every eligible request is
+/// dispatched (host idle, politeness gap elapsed, window not full; ties go
+/// to the host that entered the batch first), then the clock jumps to the
+/// next completion or politeness expiry. No real time passes.
+///
+/// Faults sit on top: an attempt dispatched at tick `t` fails iff
 /// [`FaultPlan::attempt_fails`] says so; a failed attempt occupies its
 /// host (and window slot) for [`RetryPolicy::timeout_ticks`], then the
 /// request retries after exponential backoff + URL-hashed jitter, at the
@@ -372,20 +203,21 @@ impl FaultHostState {
 ///
 /// The whole schedule is a pure function of
 /// `(urls, model, window, plan, policy)` — bit-identical at any
-/// `NVD_JOBS`. Like [`schedule`], batches with `hosts <= window` take a
-/// per-host chain fast path; both paths produce the identical schedule on
-/// their shared domain (unit-tested).
+/// `NVD_JOBS`. Batches with `hosts <= window` take a per-host chain fast
+/// path; both paths produce the identical schedule on their shared domain
+/// (unit-tested). Virtual-clock additions saturate, so huge policy ticks
+/// pin a request at `u64::MAX` instead of overflowing.
 ///
 /// # Panics
 ///
 /// Panics if `window == 0` or `policy.max_attempts == 0`.
-pub fn schedule_with_faults<'u>(
+pub fn schedule<'u>(
     urls: &[&'u str],
     model: &LatencyModel,
     window: usize,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-) -> FaultSchedule<'u> {
+) -> CrawlSchedule<'u> {
     assert!(window >= 1, "schedule: in-flight window must be at least 1");
     assert!(
         policy.max_attempts >= 1,
@@ -397,12 +229,12 @@ pub fn schedule_with_faults<'u>(
     let modes: Vec<Option<FaultMode>> = hosts.iter().map(|h| plan.mode(h)).collect();
 
     let (completions, attempts, fates) = if hosts.len() <= window {
-        chain_fault_schedule(urls, &request_host, &profiles, &modes, plan, policy)
+        schedule_chains(urls, &request_host, &profiles, &modes, plan, policy)
     } else {
-        windowed_fault_schedule(urls, &request_host, &profiles, &modes, plan, policy, window)
+        schedule_event_loop(urls, &request_host, &profiles, &modes, plan, policy, window)
     };
     let makespan = completions.last().map_or(0, |c| c.finished_at);
-    FaultSchedule {
+    CrawlSchedule {
         completions,
         attempts,
         fates,
@@ -412,11 +244,12 @@ pub fn schedule_with_faults<'u>(
     }
 }
 
-/// The fault-aware chain fast path: with `window >= hosts` the window
-/// never binds, so each host is an independent serial simulation of its
-/// FIFO — attempts, timeouts, backoffs and breaker state never interact
-/// across hosts.
-fn chain_fault_schedule(
+/// The chain fast path: with `window >= hosts` the window never binds, so
+/// each host is an independent serial simulation of its FIFO — attempts,
+/// timeouts, backoffs and breaker state never interact across hosts. A
+/// healthy host reduces to the recurrence
+/// `start = max(prev_start + politeness, prev_finish)`.
+fn schedule_chains(
     urls: &[&str],
     request_host: &[u32],
     profiles: &[&LatencyProfile],
@@ -437,7 +270,7 @@ fn chain_fault_schedule(
     for h in 0..host_count {
         let p = profiles[h];
         let mode = modes[h];
-        let mut st = FaultHostState::new();
+        let mut st = HostState::new();
         for &req in &queues[h] {
             if let Some(t) = st.abandoned_at {
                 fates[req] = RequestFate::CircuitOpen;
@@ -455,7 +288,9 @@ fn chain_fault_schedule(
             loop {
                 attempt += 1;
                 let mut start = if st.dispatched {
-                    (st.prev_start + p.politeness_ticks).max(st.busy_until)
+                    st.prev_start
+                        .saturating_add(p.politeness_ticks)
+                        .max(st.busy_until)
                 } else {
                     0
                 };
@@ -463,7 +298,7 @@ fn chain_fault_schedule(
                 st.dispatched = true;
                 let fails = mode.is_some_and(|m| plan.attempt_fails(m, url, attempt, start));
                 if !fails {
-                    let finish = start + p.sample(url);
+                    let finish = start.saturating_add(p.sample(url));
                     st.prev_start = start;
                     st.busy_until = finish;
                     st.consec = 0;
@@ -475,7 +310,7 @@ fn chain_fault_schedule(
                     });
                     break;
                 }
-                let finish = start + policy.timeout_ticks;
+                let finish = start.saturating_add(policy.timeout_ticks);
                 st.prev_start = start;
                 st.busy_until = finish;
                 st.consec += 1;
@@ -493,9 +328,9 @@ fn chain_fault_schedule(
                     }
                     break;
                 }
-                floor = finish + policy.backoff_ticks(url, attempt);
+                floor = finish.saturating_add(policy.backoff_ticks(url, attempt));
                 if tripped {
-                    floor = floor.max(finish + policy.breaker_cooldown_ticks);
+                    floor = floor.max(finish.saturating_add(policy.breaker_cooldown_ticks));
                 }
             }
         }
@@ -504,12 +339,11 @@ fn chain_fault_schedule(
     (completions, attempts_out, fates)
 }
 
-/// The fault-aware event loop, for batches fanning over more hosts than
-/// the window admits. Same event structure as [`windowed_schedule`], with
-/// failed attempts re-queued at their host's front after backoff and
-/// abandoned hosts drained at the trip tick.
+/// The general event loop, for batches fanning over more hosts than the
+/// window admits. Failed attempts are re-queued at their host's front
+/// after backoff, and abandoned hosts are drained at the trip tick.
 #[allow(clippy::too_many_arguments)]
-fn windowed_fault_schedule(
+fn schedule_event_loop(
     urls: &[&str],
     request_host: &[u32],
     profiles: &[&LatencyProfile],
@@ -525,6 +359,8 @@ fn windowed_fault_schedule(
         queues[h as usize].push_back(i);
     }
 
+    // Hosts that are idle and have queued work, keyed by the earliest tick
+    // they may dispatch at (then host id, so ties are deterministic).
     let mut ready: BTreeSet<(u64, usize)> = (0..host_count).map(|h| (0u64, h)).collect();
     let mut next_allowed = vec![0u64; host_count];
     let mut consec = vec![0u32; host_count];
@@ -537,6 +373,7 @@ fn windowed_fault_schedule(
     let mut clock = 0u64;
 
     loop {
+        // Dispatch everything eligible at the current tick.
         while in_flight.len() < window {
             let Some(&(t, h)) = ready.iter().next() else {
                 break;
@@ -549,28 +386,32 @@ fn windowed_fault_schedule(
             attempts[req] += 1;
             let fails =
                 modes[h].is_some_and(|m| plan.attempt_fails(m, urls[req], attempts[req], clock));
-            let finish = clock
-                + if fails {
-                    policy.timeout_ticks
-                } else {
-                    profiles[h].sample(urls[req])
-                };
+            let finish = clock.saturating_add(if fails {
+                policy.timeout_ticks
+            } else {
+                profiles[h].sample(urls[req])
+            });
             started[req] = clock;
             attempt_failed[req] = fails;
             in_flight.push(Reverse((finish, req)));
-            next_allowed[h] = clock + profiles[h].politeness_ticks;
+            next_allowed[h] = clock.saturating_add(profiles[h].politeness_ticks);
+            // One in flight per host: `h` re-enters `ready` on completion.
         }
 
         let Some(&Reverse((next_finish, _))) = in_flight.peek() else {
             match ready.iter().next() {
+                // Nothing in flight but a politeness or backoff timer is
+                // pending.
                 Some(&(t, _)) => {
                     clock = t;
                     continue;
                 }
-                None => break,
+                None => break, // drained
             }
         };
 
+        // If a timer expires before the next completion and the window has
+        // room, advance to it and dispatch first.
         if in_flight.len() < window {
             if let Some(&(t, _)) = ready.iter().next() {
                 if t < next_finish {
@@ -623,10 +464,10 @@ fn windowed_fault_schedule(
             // eligible after politeness, backoff and (if tripped) the
             // breaker cooldown.
             queues[h].push_front(req);
-            let mut at =
-                next_allowed[h].max(clock + policy.backoff_ticks(urls[req], attempts[req]));
+            let mut at = next_allowed[h]
+                .max(clock.saturating_add(policy.backoff_ticks(urls[req], attempts[req])));
             if tripped {
-                at = at.max(clock + policy.breaker_cooldown_ticks);
+                at = at.max(clock.saturating_add(policy.breaker_cooldown_ticks));
             }
             ready.insert((at, h));
         }
@@ -645,25 +486,13 @@ pub enum CrawlResult {
     Fetched(Option<Date>),
     /// The host does not respond (registry-dead or `mark_dead`).
     HostUnreachable,
-    /// Every attempt timed out under the active fault plan (only produced
-    /// by fault-aware crawls).
+    /// Every attempt timed out under the engine's fault plan.
     TimedOut,
     /// The request resolved without dispatch because its host's circuit
-    /// breaker was open (only produced by fault-aware crawls).
+    /// breaker was open.
     CircuitOpen,
     /// The host answers but has no page at this URL.
     NotFound,
-}
-
-/// One completed fetch + extraction, in virtual completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrawlOutcome {
-    /// Index of the URL in the crawled batch.
-    pub id: usize,
-    /// Virtual tick the response arrived at.
-    pub finished_at: u64,
-    /// What came back.
-    pub result: CrawlResult,
 }
 
 /// Per-host dispatch state, resolved once per host per crawl.
@@ -673,25 +502,30 @@ struct HostInfo<'a> {
     extractor: Option<&'a DomainSpec>,
 }
 
-/// The batch crawl engine: schedule, then replay completions against the
+/// The plan engines run under until [`CrawlEngine::with_faults`] replaces it.
+static EMPTY_PLAN: FaultPlan = FaultPlan::new(0);
+
+/// The batch crawl engine: schedule, then replay requests against the
 /// archive with extraction fanned over `minipar`.
 #[derive(Debug, Clone)]
 pub struct CrawlEngine<'a> {
     archive: &'a WebArchive,
     crawlers: &'a CrawlerSet,
     window: usize,
-    faults: Option<(&'a FaultPlan, RetryPolicy)>,
+    plan: &'a FaultPlan,
+    policy: RetryPolicy,
 }
 
 impl<'a> CrawlEngine<'a> {
-    /// An engine over the archive with the given crawler set and the
-    /// default in-flight window. No fault plan: the plain schedule runs.
+    /// An engine over the archive with the given crawler set, the default
+    /// in-flight window, an empty fault plan and the default retry policy.
     pub fn new(archive: &'a WebArchive, crawlers: &'a CrawlerSet) -> Self {
         Self {
             archive,
             crawlers,
             window: DEFAULT_WINDOW,
-            faults: None,
+            plan: &EMPTY_PLAN,
+            policy: RetryPolicy::default(),
         }
     }
 
@@ -706,9 +540,9 @@ impl<'a> CrawlEngine<'a> {
         self
     }
 
-    /// Attaches a fault plan and retry policy: crawls then run the
-    /// fault-aware schedule, and requests on faulty hosts can resolve
-    /// [`CrawlResult::TimedOut`] or [`CrawlResult::CircuitOpen`].
+    /// Replaces the fault plan and retry policy: requests on faulty hosts
+    /// can then resolve [`CrawlResult::TimedOut`] or
+    /// [`CrawlResult::CircuitOpen`].
     ///
     /// # Panics
     ///
@@ -718,110 +552,53 @@ impl<'a> CrawlEngine<'a> {
             policy.max_attempts >= 1,
             "CrawlEngine: retry policy needs at least one attempt"
         );
-        self.faults = Some((plan, policy));
+        self.plan = plan;
+        self.policy = policy;
         self
     }
 
-    /// The crawl plan for a batch, without touching page bodies. Ignores
-    /// any attached fault plan; see [`CrawlEngine::schedule_with_faults`].
+    /// The crawl plan for a batch under the engine's fault plan and retry
+    /// policy, without touching page bodies.
     pub fn schedule<'u>(&self, urls: &[&'u str]) -> CrawlSchedule<'u> {
-        schedule(urls, self.archive.latency(), self.window)
-    }
-
-    /// The fault-aware crawl plan for a batch, using the attached fault
-    /// plan and retry policy (an empty plan and the default policy if none
-    /// was attached).
-    pub fn schedule_with_faults<'u>(&self, urls: &[&'u str]) -> FaultSchedule<'u> {
-        static EMPTY: std::sync::OnceLock<FaultPlan> = std::sync::OnceLock::new();
-        let (plan, policy) = match self.faults {
-            Some((plan, policy)) => (plan, policy),
-            None => (
-                EMPTY.get_or_init(|| FaultPlan::new(0)),
-                RetryPolicy::default(),
-            ),
-        };
-        schedule_with_faults(urls, self.archive.latency(), self.window, plan, &policy)
-    }
-
-    /// Crawls a batch of URLs: computes the deterministic schedule, then
-    /// fetches and extracts each completion on the `minipar` pool.
-    ///
-    /// Outcomes are returned in virtual completion order — a pure function
-    /// of the batch and the archive's latency model (and, when a fault
-    /// plan is attached, of the plan and policy), so results are
-    /// bit-identical at any `NVD_JOBS` setting. Liveness and crawler
-    /// dispatch are resolved once per *host*; pages on dead hosts are never
-    /// looked up.
-    pub fn crawl(&self, urls: &[&str]) -> Vec<CrawlOutcome> {
-        if let Some((plan, policy)) = self.faults {
-            return self.crawl_with_faults(urls, plan, &policy);
-        }
-        let plan = self.schedule(urls);
-        let results = self.replay(urls, &plan.request_host, &self.resolve_hosts(&plan.hosts));
-        plan.completions
-            .iter()
-            .map(|c| CrawlOutcome {
-                id: c.id,
-                finished_at: c.finished_at,
-                result: results[c.id],
-            })
-            .collect()
-    }
-
-    /// The fault path of [`CrawlEngine::crawl`]: run the fault-aware
-    /// schedule, replay only what the fates say was delivered, and map
-    /// timed-out / circuit-open requests to their failure results.
-    fn crawl_with_faults(
-        &self,
-        urls: &[&str],
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Vec<CrawlOutcome> {
-        let sched = schedule_with_faults(urls, self.archive.latency(), self.window, plan, policy);
-        let results = self.replay(urls, &sched.request_host, &self.resolve_hosts(&sched.hosts));
-        sched
-            .completions
-            .iter()
-            .map(|c| CrawlOutcome {
-                id: c.id,
-                finished_at: c.finished_at,
-                result: match sched.fates[c.id] {
-                    RequestFate::Delivered => results[c.id],
-                    RequestFate::TimedOut => CrawlResult::TimedOut,
-                    RequestFate::CircuitOpen => CrawlResult::CircuitOpen,
-                },
-            })
-            .collect()
+        schedule(
+            urls,
+            self.archive.latency(),
+            self.window,
+            self.plan,
+            &self.policy,
+        )
     }
 
     /// Crawls a batch and returns each request's result keyed by request id
     /// — `results[i]` answers `urls[i]`.
     ///
-    /// This is the engine's bulk entry point for callers whose fold is
-    /// order-independent (the §4.1 disclosure aggregation). What a fetch
-    /// returns is a pure function of the URL and the archive — the schedule
-    /// decides *when* a response arrives, never what it says — so the
-    /// virtual-clock bookkeeping and the completion-order sort are elided
-    /// here and only the engine's dispatch runs: per-host interning,
-    /// memoised liveness/crawler resolution, and the pooled request-order
-    /// replay. Callers that consume the completion *stream* use
-    /// [`CrawlEngine::crawl`]; the two agree result-for-result
-    /// (unit-tested).
-    ///
-    /// With a fault plan attached the elision no longer applies — whether
-    /// an attempt fails can depend on its dispatch tick (outage windows) —
-    /// so this path runs the full fault schedule and scatters the
-    /// completion-ordered outcomes back to request-id order.
+    /// Under an empty fault plan every request is delivered, and what a
+    /// fetch returns is a pure function of the URL and the archive — the
+    /// schedule decides *when* a response arrives, never what it says — so
+    /// the schedule is skipped and only the engine's dispatch runs:
+    /// per-host interning, memoised liveness/crawler resolution, and the
+    /// pooled request-order replay. Otherwise whether an attempt fails can
+    /// depend on its dispatch tick (outage windows), so the full schedule
+    /// runs and each request's fate decides its result: a delivered request
+    /// gets its replayed fetch, the others [`CrawlResult::TimedOut`] or
+    /// [`CrawlResult::CircuitOpen`]. Either way results are bit-identical at
+    /// any `NVD_JOBS` setting.
     pub fn crawl_results(&self, urls: &[&str]) -> Vec<CrawlResult> {
-        if self.faults.is_some() {
-            let mut results = vec![CrawlResult::NotFound; urls.len()];
-            for outcome in self.crawl(urls) {
-                results[outcome.id] = outcome.result;
-            }
-            return results;
+        if self.plan.is_empty() {
+            let (hosts, request_host) = intern_hosts(urls);
+            return self.replay(urls, &request_host, &self.resolve_hosts(&hosts));
         }
-        let (hosts, request_host) = intern_hosts(urls);
-        self.replay(urls, &request_host, &self.resolve_hosts(&hosts))
+        let sched = self.schedule(urls);
+        let fetched = self.replay(urls, &sched.request_host, &self.resolve_hosts(&sched.hosts));
+        fetched
+            .into_iter()
+            .zip(&sched.fates)
+            .map(|(result, fate)| match fate {
+                RequestFate::Delivered => result,
+                RequestFate::TimedOut => CrawlResult::TimedOut,
+                RequestFate::CircuitOpen => CrawlResult::CircuitOpen,
+            })
+            .collect()
     }
 
     /// Resolves liveness and crawler dispatch once per host.
@@ -891,9 +668,14 @@ mod tests {
         LatencyModel::uniform(LatencyProfile::new(base, 0, politeness))
     }
 
+    /// The schedule with nothing failing.
+    fn healthy<'u>(urls: &[&'u str], m: &LatencyModel, window: usize) -> CrawlSchedule<'u> {
+        schedule(urls, m, window, &EMPTY_PLAN, &RetryPolicy::default())
+    }
+
     #[test]
     fn empty_batch_schedules_nothing() {
-        let plan = schedule(&[], &LatencyModel::default(), 4);
+        let plan = healthy(&[], &LatencyModel::default(), 4);
         assert!(plan.completions.is_empty());
         assert_eq!(plan.makespan, 0);
         assert!(plan.hosts.is_empty());
@@ -906,10 +688,12 @@ mod tests {
             .collect();
         let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
         let m = LatencyModel::uniform(LatencyProfile::new(1_000, 5_000, 500));
-        let a = schedule(&refs, &m, 4);
-        let b = schedule(&refs, &m, 4);
+        let a = healthy(&refs, &m, 4);
+        let b = healthy(&refs, &m, 4);
         assert_eq!(a, b);
         assert_eq!(a.completions.len(), refs.len());
+        assert!(a.attempts.iter().all(|&n| n == 1));
+        assert!(a.fates.iter().all(|&f| f == RequestFate::Delivered));
         // Every id exactly once.
         let mut seen: Vec<usize> = a.completions.iter().map(|c| c.id).collect();
         seen.sort_unstable();
@@ -924,32 +708,13 @@ mod tests {
     }
 
     #[test]
-    fn chain_fast_path_equals_event_loop() {
-        // A jittery multi-host batch scheduled at window == hosts: the
-        // window can't bind, so the chain recurrence and the full event
-        // loop must produce the identical schedule.
-        let urls: Vec<String> = (0..60)
-            .map(|i| format!("https://host{}.example/page/{i}", i % 9))
-            .collect();
-        let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let mut m = LatencyModel::uniform(LatencyProfile::new(1_000, 7_777, 900));
-        m.set("host3.example", LatencyProfile::new(50_000, 0, 10));
-        m.set("host4.example", LatencyProfile::new(10, 3, 40_000));
-        let plan = schedule(&refs, &m, 9); // fast path: 9 hosts, window 9
-        let request_host = plan.request_host.clone();
-        let profiles: Vec<&LatencyProfile> = plan.hosts.iter().map(|h| m.profile(h)).collect();
-        let looped = windowed_schedule(&refs, &request_host, plan.hosts.len(), &profiles, 9);
-        assert_eq!(plan.completions, looped, "fast path diverged");
-    }
-
-    #[test]
     fn politeness_queue_serialises_a_host() {
         let urls = [
             "https://one.example/a",
             "https://one.example/b",
             "https://one.example/c",
         ];
-        let plan = schedule(&urls, &model(100, 250), 8);
+        let plan = healthy(&urls, &model(100, 250), 8);
         // One in flight per host, and starts spaced by politeness (250 >
         // the 100-tick service time, so the gap dominates).
         let mut by_id = plan.completions.clone();
@@ -975,7 +740,7 @@ mod tests {
             .map(|i| format!("https://host{i}.example/p"))
             .collect();
         let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let plan = schedule(&refs, &model(100, 0), 2);
+        let plan = healthy(&refs, &model(100, 0), 2);
         // At most 2 overlapping [start, finish) intervals at any tick.
         for c in &plan.completions {
             let overlapping = plan
@@ -1001,82 +766,65 @@ mod tests {
             "https://fast1.example/b",
             "https://fast2.example/c",
         ];
-        let plan = schedule(&urls, &m, 4);
+        let plan = healthy(&urls, &m, 4);
         assert_eq!(plan.makespan, 10_000, "slow host dominates the makespan");
-        assert!(plan.serial_ticks() > plan.makespan, "no overlap happened");
+        let serial: u64 = plan
+            .completions
+            .iter()
+            .map(|c| c.finished_at - c.started_at)
+            .sum();
+        assert!(serial > plan.makespan, "no overlap happened");
         // Fast responses complete first even though the slow one started
         // alongside them.
         assert_eq!(plan.completions.last().unwrap().id, 0);
     }
 
-    #[test]
-    fn engine_classifies_outcomes() {
-        use nvd_model::prelude::Date;
-        let mut archive = WebArchive::new();
-        let d: Date = "2014-04-01".parse().unwrap();
-        let live = archive
-            .publish("seclists.org", "CVE-2014-0001", d, 2)
-            .unwrap();
-        let dead = archive.publish("osvdb.org", "CVE-2014-0001", d, 2).unwrap();
-        archive.insert_raw("https://seclists.org/junk", "no dates here".into());
-        let crawlers = CrawlerSet::builtin();
-        let urls = [
-            live.as_str(),
-            dead.as_str(),
-            "https://seclists.org/junk",
-            "https://seclists.org/missing",
-        ];
-        let engine = CrawlEngine::new(&archive, &crawlers);
-        let mut outcomes = engine.crawl(&urls);
-        outcomes.sort_unstable_by_key(|o| o.id);
-        assert_eq!(outcomes[0].result, CrawlResult::Fetched(Some(d)));
-        assert_eq!(outcomes[1].result, CrawlResult::HostUnreachable);
-        assert_eq!(outcomes[2].result, CrawlResult::Fetched(None), "malformed");
-        assert_eq!(outcomes[3].result, CrawlResult::NotFound);
+    /// Schedules `urls` with `window` == the number of hosts, so the chain
+    /// fast path runs, then reruns the event loop directly and demands the
+    /// identical schedule, attempts and fates.
+    fn assert_chain_equals_event_loop(
+        urls: &[&str],
+        m: &LatencyModel,
+        window: usize,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+    ) {
+        let fast = schedule(urls, m, window, plan, policy);
+        assert_eq!(fast.hosts.len(), window, "the chain path must run");
+        let profiles: Vec<&LatencyProfile> = fast.hosts.iter().map(|h| m.profile(h)).collect();
+        let modes: Vec<Option<FaultMode>> = fast.hosts.iter().map(|h| plan.mode(h)).collect();
+        let looped = schedule_event_loop(
+            urls,
+            &fast.request_host,
+            &profiles,
+            &modes,
+            plan,
+            policy,
+            window,
+        );
+        assert_eq!(fast.completions, looped.0, "fast path diverged");
+        assert_eq!(fast.attempts, looped.1, "attempt counts diverged");
+        assert_eq!(fast.fates, looped.2, "fates diverged");
     }
 
     #[test]
-    fn crawl_results_match_crawl_outcomes() {
-        // The request-keyed bulk path elides the virtual clock; it must
-        // still agree with the completion-stream path result for result.
-        use nvd_model::prelude::Date;
-        let mut archive = WebArchive::new();
-        let d: Date = "2014-04-01".parse().unwrap();
-        let live = archive
-            .publish("seclists.org", "CVE-2014-0001", d, 2)
-            .unwrap();
-        let dead = archive.publish("osvdb.org", "CVE-2014-0001", d, 2).unwrap();
-        let urls = [live.as_str(), dead.as_str(), "https://seclists.org/missing"];
-        let crawlers = CrawlerSet::builtin();
-        let engine = CrawlEngine::new(&archive, &crawlers);
-        let results = engine.crawl_results(&urls);
-        assert_eq!(results.len(), urls.len());
-        for outcome in engine.crawl(&urls) {
-            assert_eq!(results[outcome.id], outcome.result);
-        }
-    }
-
-    #[test]
-    fn empty_fault_plan_matches_plain_schedule() {
-        let urls: Vec<String> = (0..50)
-            .map(|i| format!("https://host{}.example/p{}", i % 6, i))
+    fn chain_fast_path_equals_event_loop() {
+        // A jittery multi-host batch with nothing failing, scheduled at
+        // window == hosts: the window can't bind, so the chain recurrence
+        // and the full event loop must produce the identical schedule.
+        let urls: Vec<String> = (0..60)
+            .map(|i| format!("https://host{}.example/page/{i}", i % 9))
             .collect();
         let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let m = LatencyModel::uniform(LatencyProfile::new(1_000, 4_000, 700));
-        let plain = schedule(&refs, &m, 4);
-        let faulty =
-            schedule_with_faults(&refs, &m, 4, &FaultPlan::new(7), &RetryPolicy::default());
-        assert_eq!(plain.completions, faulty.completions);
-        assert_eq!(plain.makespan, faulty.makespan);
-        assert!(faulty.attempts.iter().all(|&a| a == 1));
-        assert!(faulty.fates.iter().all(|&f| f == RequestFate::Delivered));
+        let mut m = LatencyModel::uniform(LatencyProfile::new(1_000, 7_777, 900));
+        m.set("host3.example", LatencyProfile::new(50_000, 0, 10));
+        m.set("host4.example", LatencyProfile::new(10, 3, 40_000));
+        assert_chain_equals_event_loop(&refs, &m, 9, &EMPTY_PLAN, &RetryPolicy::default());
     }
 
     #[test]
     fn fault_chain_fast_path_equals_event_loop() {
-        // Window == hosts so the fast path runs; rerun the event loop
-        // directly and demand the identical schedule, attempts and fates
-        // under a mixed fault plan.
+        // The same check under a mixed fault plan.
         let urls: Vec<String> = (0..48)
             .map(|i| format!("https://host{}.example/page/{i}", i % 6))
             .collect();
@@ -1099,21 +847,7 @@ mod tests {
             breaker_cooldown_ticks: 100_000,
             ..RetryPolicy::default()
         };
-        let fast = schedule_with_faults(&refs, &m, 6, &plan, &policy);
-        let profiles: Vec<&LatencyProfile> = fast.hosts.iter().map(|h| m.profile(h)).collect();
-        let modes: Vec<Option<FaultMode>> = fast.hosts.iter().map(|h| plan.mode(h)).collect();
-        let looped = windowed_fault_schedule(
-            &refs,
-            &fast.request_host,
-            &profiles,
-            &modes,
-            &plan,
-            &policy,
-            6,
-        );
-        assert_eq!(fast.completions, looped.0, "fault fast path diverged");
-        assert_eq!(fast.attempts, looped.1, "attempt counts diverged");
-        assert_eq!(fast.fates, looped.2, "fates diverged");
+        assert_chain_equals_event_loop(&refs, &m, 6, &plan, &policy);
     }
 
     #[test]
@@ -1125,7 +859,7 @@ mod tests {
         let mut plan = FaultPlan::new(1);
         plan.set("down.example", FaultMode::HardDown);
         let policy = RetryPolicy::default(); // threshold 4, max_attempts 3
-        let sched = schedule_with_faults(&refs, &model(100, 0), 8, &plan, &policy);
+        let sched = schedule(&refs, &model(100, 0), 8, &plan, &policy);
         // Request 0 times out after 3 attempts (3 consecutive failures),
         // request 1's second attempt is the 5th consecutive failure — the
         // breaker trips mid-request — and exhausting it abandons the host.
@@ -1139,6 +873,54 @@ mod tests {
         // Bounded cost: 6 timeouts total, not 30.
         let dispatched: u32 = sched.attempts.iter().sum();
         assert_eq!(dispatched, 6);
+    }
+
+    #[test]
+    fn huge_policy_ticks_saturate_the_virtual_clock() {
+        // Backoff doubling from u64::MAX / 4 runs the clock into u64::MAX
+        // within five attempts; every later addition must saturate rather
+        // than overflow, on both scheduling paths.
+        let policy = RetryPolicy {
+            max_attempts: 5,
+            backoff_base_ticks: u64::MAX / 4,
+            backoff_jitter_ticks: 0,
+            breaker_threshold: 0,
+            ..RetryPolicy::default()
+        };
+        let m = model(100, 250);
+        let mut plan = FaultPlan::new(1);
+        for h in 0..3 {
+            plan.set(&format!("down{h}.example"), FaultMode::HardDown);
+        }
+        let timed_out = |s: &CrawlSchedule<'_>| {
+            s.fates.iter().all(|&f| f == RequestFate::TimedOut)
+                && s.attempts.iter().all(|&n| n == 5)
+        };
+
+        // Chain path: two requests on one host, window 8.
+        let pair = ["https://down0.example/a", "https://down0.example/b"];
+        let chained = schedule(&pair, &m, 8, &plan, &policy);
+        assert!(timed_out(&chained), "{:?}", chained.fates);
+        assert_eq!(chained.makespan, u64::MAX);
+        let profiles = [m.profile("down0.example")];
+        let modes = [plan.mode("down0.example")];
+        let looped = schedule_event_loop(&pair, &[0, 0], &profiles, &modes, &plan, &policy, 8);
+        assert_eq!(chained.completions, looped.0, "paths diverged");
+        assert_eq!((chained.attempts, chained.fates), (looped.1, looped.2));
+
+        // Event loop: three hosts through a window of two.
+        let urls: Vec<String> = (0..6)
+            .map(|i| format!("https://down{}.example/p{i}", i % 3))
+            .collect();
+        let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
+        let windowed = schedule(&refs, &m, 2, &plan, &policy);
+        assert!(timed_out(&windowed), "{:?}", windowed.fates);
+        assert_eq!(windowed.makespan, u64::MAX);
+        let chained = schedule(&refs, &m, 3, &plan, &policy);
+        assert_eq!(
+            (windowed.attempts, windowed.fates),
+            (chained.attempts, chained.fates)
+        );
     }
 
     #[test]
@@ -1162,7 +944,7 @@ mod tests {
             breaker_threshold: 0,
             breaker_cooldown_ticks: 0,
         };
-        let sched = schedule_with_faults(&urls, &model(1_000, 0), 8, &plan, &policy);
+        let sched = schedule(&urls, &model(1_000, 0), 8, &plan, &policy);
         assert!(
             sched.fates.iter().all(|&f| f == RequestFate::Delivered),
             "outage should be survivable: {:?}",
@@ -1178,23 +960,27 @@ mod tests {
     }
 
     #[test]
-    fn engine_with_empty_plan_matches_plain_crawl() {
+    fn engine_classifies_outcomes() {
         use nvd_model::prelude::Date;
         let mut archive = WebArchive::new();
-        let d: Date = "2015-03-01".parse().unwrap();
-        let mut urls = Vec::new();
-        for i in 0..24 {
-            let host = ["seclists.org", "www.debian.org", "osvdb.org"][i % 3];
-            urls.push(archive.publish(host, "CVE-2015-0001", d, i as u32).unwrap());
-        }
-        let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
+        let d: Date = "2014-04-01".parse().unwrap();
+        let live = archive
+            .publish("seclists.org", "CVE-2014-0001", d, 2)
+            .unwrap();
+        let dead = archive.publish("osvdb.org", "CVE-2014-0001", d, 2).unwrap();
+        archive.insert_raw("https://seclists.org/junk", "no dates here".into());
         let crawlers = CrawlerSet::builtin();
-        let plain = CrawlEngine::new(&archive, &crawlers);
-        let plan = FaultPlan::new(3);
-        let faulty =
-            CrawlEngine::new(&archive, &crawlers).with_faults(&plan, RetryPolicy::default());
-        assert_eq!(plain.crawl(&refs), faulty.crawl(&refs));
-        assert_eq!(plain.crawl_results(&refs), faulty.crawl_results(&refs));
+        let urls = [
+            live.as_str(),
+            dead.as_str(),
+            "https://seclists.org/junk",
+            "https://seclists.org/missing",
+        ];
+        let results = CrawlEngine::new(&archive, &crawlers).crawl_results(&urls);
+        assert_eq!(results[0], CrawlResult::Fetched(Some(d)));
+        assert_eq!(results[1], CrawlResult::HostUnreachable);
+        assert_eq!(results[2], CrawlResult::Fetched(None), "malformed");
+        assert_eq!(results[3], CrawlResult::NotFound);
     }
 
     #[test]
@@ -1222,15 +1008,23 @@ mod tests {
         let engine = CrawlEngine::new(&archive, &crawlers)
             .with_window(3)
             .with_faults(&plan, RetryPolicy::default());
-        let serial = minipar::with_jobs(1, || engine.crawl(&refs));
-        let wide = minipar::with_jobs(4, || engine.crawl(&refs));
+        let run = || (engine.schedule(&refs), engine.crawl_results(&refs));
+        let serial = minipar::with_jobs(1, run);
+        let wide = minipar::with_jobs(4, run);
         assert_eq!(serial, wide, "fault crawl diverged across job counts");
-        let results = engine.crawl_results(&refs);
-        for outcome in &serial {
-            assert_eq!(results[outcome.id], outcome.result);
+        let (sched, results) = serial;
+        for (id, (fate, result)) in sched.fates.iter().zip(&results).enumerate() {
+            let agrees = match fate {
+                RequestFate::Delivered => {
+                    !matches!(result, CrawlResult::TimedOut | CrawlResult::CircuitOpen)
+                }
+                RequestFate::TimedOut => *result == CrawlResult::TimedOut,
+                RequestFate::CircuitOpen => *result == CrawlResult::CircuitOpen,
+            };
+            assert!(agrees, "request {id}: {result:?} contradicts fate {fate:?}");
         }
         assert!(
-            serial.iter().any(|o| o.result == CrawlResult::TimedOut),
+            results.contains(&CrawlResult::TimedOut),
             "hard-down host should time out"
         );
     }
@@ -1248,8 +1042,9 @@ mod tests {
         let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
         let crawlers = CrawlerSet::builtin();
         let engine = CrawlEngine::new(&archive, &crawlers).with_window(4);
-        let serial = minipar::with_jobs(1, || engine.crawl(&refs));
-        let wide = minipar::with_jobs(4, || engine.crawl(&refs));
-        assert_eq!(serial, wide, "crawl outcomes diverged across job counts");
+        let run = || (engine.schedule(&refs), engine.crawl_results(&refs));
+        let serial = minipar::with_jobs(1, run);
+        let wide = minipar::with_jobs(4, run);
+        assert_eq!(serial, wide, "crawl diverged across job counts");
     }
 }

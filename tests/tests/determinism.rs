@@ -1,15 +1,20 @@
 //! Determinism: equal seeds reproduce everything bit-for-bit; different
-//! seeds genuinely differ; and the blocked §4.2 name-matching engine is
-//! pinned to the legacy serial sweep by a proptest oracle.
+//! seeds genuinely differ; the blocked §4.2 name-matching engine is pinned
+//! to the legacy serial sweep by a proptest oracle; and the §4.1 crawl
+//! engine is pinned to a serial fetch-and-extract oracle.
+
+use std::collections::BTreeMap;
 
 use nvd_clean::cleaner::Cleaner;
+use nvd_clean::disclosure::{AggregationRule, DisclosureEstimate, DisclosureEstimator};
 use nvd_clean::names::legacy::{find_product_candidates_legacy, find_vendor_candidates_legacy};
 use nvd_clean::names::{
     find_product_candidates, find_vendor_candidates, NameMapping, OracleVerifier, Verifier,
 };
-use nvd_model::prelude::{CpeName, CveEntry, CveId, Database};
+use nvd_model::prelude::{CpeName, CveEntry, CveId, Database, Date};
 use nvd_synth::{generate, SynthConfig};
 use proptest::prelude::*;
+use webarchive::{CrawlerSet, FetchError, WebArchive};
 
 #[test]
 fn same_seed_same_corpus_and_cleaning() {
@@ -172,28 +177,97 @@ fn name_candidates_are_bit_identical_across_job_counts() {
     );
 }
 
+/// The §4.1 estimate of one entry the way it was computed before the crawl
+/// engine existed: fetch each reference serially through
+/// [`WebArchive::fetch`], extract via [`CrawlerSet::extract`], then
+/// aggregate inline. Shares no code with the engine path, so it stays a
+/// fixed oracle however the engine evolves.
+fn serial_estimate(
+    archive: &WebArchive,
+    crawlers: &CrawlerSet,
+    rule: AggregationRule,
+    entry: &CveEntry,
+) -> DisclosureEstimate {
+    let mut dates: Vec<Date> = Vec::with_capacity(entry.references.len());
+    let mut fetched = 0usize;
+    let mut failed = 0usize;
+    for reference in &entry.references {
+        match archive.fetch(&reference.url) {
+            Ok(page) => {
+                fetched += 1;
+                if let Some(date) = crawlers.extract(page) {
+                    dates.push(date);
+                }
+            }
+            Err(FetchError::HostUnreachable { .. }) | Err(FetchError::NotFound { .. }) => {
+                failed += 1;
+            }
+        }
+    }
+    let extracted = dates.len();
+    let aggregated = match rule {
+        AggregationRule::Minimum => dates.iter().copied().min(),
+        AggregationRule::Median => {
+            dates.sort_unstable();
+            dates.get(dates.len() / 2).copied()
+        }
+        AggregationRule::Mean => {
+            if dates.is_empty() {
+                None
+            } else {
+                let sum: i64 = dates.iter().map(|d| i64::from(d.day_number())).sum();
+                Some(Date::from_day_number((sum / dates.len() as i64) as i32))
+            }
+        }
+    };
+    let estimated = match aggregated {
+        Some(d) if rule != AggregationRule::Minimum => d,
+        Some(d) => d.min(entry.published),
+        None => entry.published,
+    };
+    DisclosureEstimate {
+        estimated,
+        references: entry.references.len(),
+        fetched,
+        failed,
+        extracted,
+    }
+}
+
 #[test]
 fn scheduled_crawl_is_bit_identical_across_job_counts() {
     // The §4.1 disclosure estimator batches every reference through the
-    // webarchive crawl scheduler and fans fetch + extraction over minipar;
-    // the per-CVE estimate map must agree exactly between the inline path
-    // and a wide pool, and with the frozen pre-engine per-entry loops.
-    use nvd_clean::disclosure::{legacy, DisclosureEstimator};
+    // webarchive crawl engine and fans fetch + extraction over minipar;
+    // under every aggregation rule the per-CVE estimate map must agree
+    // exactly between the inline path and a wide pool, and with the serial
+    // per-entry oracle.
     let corpus = generate(&SynthConfig::with_scale(0.01, 4242));
-    let run = |jobs: usize| {
-        minipar::with_jobs(jobs, || {
-            DisclosureEstimator::new(&corpus.archive).estimate_all(&corpus.database)
-        })
-    };
-    let serial = run(1);
-    let wide = run(4);
-    assert_eq!(serial, wide, "disclosure estimates diverged across jobs");
-    let estimator = DisclosureEstimator::new(&corpus.archive);
-    assert_eq!(
-        serial,
-        legacy::estimate_all_legacy(&estimator, &corpus.database),
-        "scheduled crawl diverged from the pre-engine loops"
-    );
+    let crawlers = CrawlerSet::builtin();
+    for rule in [
+        AggregationRule::Minimum,
+        AggregationRule::Median,
+        AggregationRule::Mean,
+    ] {
+        let run = |jobs: usize| {
+            minipar::with_jobs(jobs, || {
+                DisclosureEstimator::new(&corpus.archive)
+                    .with_rule(rule)
+                    .estimate_all(&corpus.database)
+            })
+        };
+        let serial = run(1);
+        let wide = run(4);
+        assert_eq!(serial, wide, "disclosure estimates diverged across jobs");
+        let oracle: BTreeMap<CveId, DisclosureEstimate> = corpus
+            .database
+            .iter()
+            .map(|e| (e.id, serial_estimate(&corpus.archive, &crawlers, rule, e)))
+            .collect();
+        assert_eq!(
+            serial, oracle,
+            "scheduled crawl diverged from the serial oracle under {rule:?}"
+        );
+    }
 }
 
 /// Arbitrary small databases over a deliberately tiny alphabet, so the

@@ -17,7 +17,10 @@ use nvd_serve::{ServeIndex, UpdateError};
 use nvd_synth::faults::{corrupt_delta_stream, generate_fault_plan};
 use nvd_synth::{generate, SynthConfig};
 use proptest::prelude::*;
-use webarchive::{CrawlEngine, CrawlResult, CrawlerSet, RetryPolicy, WebArchive};
+use webarchive::{
+    schedule, CrawlEngine, CrawlResult, CrawlerSet, FaultPlan, RequestFate, RetryPolicy,
+    WebArchive, DEFAULT_WINDOW,
+};
 
 /// The fault seed under test: `NVD_FAULT_SEED` if set, else a fixed
 /// default so local runs are reproducible without any environment.
@@ -39,10 +42,10 @@ fn empty_options() -> CleanOptions {
 
 #[test]
 fn faulty_crawl_is_bit_identical_across_job_counts() {
-    // The retrying engine under a generated mixed fault plan: outcomes —
-    // including timeouts and circuit-breaker abandonments — are a pure
-    // function of (urls, model, plan), so the inline path and a wide pool
-    // must agree exactly, as must the id-indexed crawl_results view.
+    // The retrying engine under a generated mixed fault plan: the schedule
+    // and the results — including timeouts and circuit-breaker
+    // abandonments — are a pure function of (urls, model, plan), so the
+    // inline path and a wide pool must agree exactly.
     let corpus = generate(&SynthConfig::with_scale(0.004, 0xc4a1));
     let plan = generate_fault_plan(fault_seed());
     let crawlers = CrawlerSet::builtin();
@@ -52,33 +55,64 @@ fn faulty_crawl_is_bit_identical_across_job_counts() {
         minipar::with_jobs(jobs, || {
             let engine = CrawlEngine::new(&corpus.archive, &crawlers)
                 .with_faults(&plan, RetryPolicy::default());
-            (engine.crawl(&urls), engine.crawl_results(&urls))
+            (engine.schedule(&urls), engine.crawl_results(&urls))
         })
     };
     let serial = run(1);
     let wide = run(4);
-    assert_eq!(
-        serial.0, wide.0,
-        "faulty crawl outcomes diverged across jobs"
-    );
-    assert_eq!(
-        serial.1, wide.1,
-        "faulty crawl results diverged across jobs"
-    );
-    for outcome in &serial.0 {
-        assert_eq!(
-            serial.1[outcome.id], outcome.result,
-            "crawl_results must scatter crawl outcomes by id"
-        );
+    assert_eq!(serial, wide, "faulty crawl diverged across jobs");
+    let (sched, results) = serial;
+    for (id, (fate, result)) in sched.fates.iter().zip(&results).enumerate() {
+        let agrees = match fate {
+            RequestFate::Delivered => {
+                !matches!(result, CrawlResult::TimedOut | CrawlResult::CircuitOpen)
+            }
+            RequestFate::TimedOut => *result == CrawlResult::TimedOut,
+            RequestFate::CircuitOpen => *result == CrawlResult::CircuitOpen,
+        };
+        assert!(agrees, "{}: {result:?} contradicts fate {fate:?}", urls[id]);
     }
     // A mixed plan over a real corpus must actually exercise failure.
     assert!(
-        serial
-            .1
+        results
             .iter()
             .any(|r| matches!(r, CrawlResult::TimedOut | CrawlResult::CircuitOpen)),
         "fault plan produced no failed fetches — seed {}",
         fault_seed()
+    );
+}
+
+#[test]
+fn healthy_corpus_crawl_overlaps_hosts() {
+    // Politeness queues plus the bounded window must still overlap hosts on
+    // a generated corpus: the summed service time of all requests has to
+    // exceed the virtual-clock makespan more than fourfold. All 50 registry
+    // hosts fit in DEFAULT_WINDOW at this scale, so this exercises the
+    // chain path — the only one real corpora take.
+    let corpus = generate(&SynthConfig::with_scale(0.01, 4242));
+    let urls: Vec<&str> = corpus
+        .database
+        .iter()
+        .flat_map(|e| e.references.iter().map(|r| r.url.as_str()))
+        .collect();
+    let sched = schedule(
+        &urls,
+        corpus.archive.latency(),
+        DEFAULT_WINDOW,
+        &FaultPlan::new(0),
+        &RetryPolicy::default(),
+    );
+    assert_eq!(sched.completions.len(), urls.len());
+    let busy: u64 = sched
+        .completions
+        .iter()
+        .map(|c| c.finished_at - c.started_at)
+        .sum();
+    assert!(
+        busy > 4 * sched.makespan,
+        "window {DEFAULT_WINDOW} over {} hosts should overlap >4x: makespan {} vs serial {busy}",
+        sched.hosts.len(),
+        sched.makespan
     );
 }
 
