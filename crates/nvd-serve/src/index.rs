@@ -7,17 +7,20 @@
 //!   id, so a point lookup is one hash plus one binary search over `n/S`
 //!   ids. Shard routing is a pure function of the id, never of insertion
 //!   order, so any shard count serves identical answers;
-//! * **owned vendor/product name universes with postings** — each name
-//!   universe is a sorted `Vec` of owned names (dense id = position, in
-//!   ascending name order, binary-search lookup); postings are per-name CVE
-//!   lists sorted by id;
-//! * **secondary indexes** — per-CWE and per-severity-band postings, plus
-//!   one `(published, id)`-ordered permutation for patch-window range
-//!   scans and windowed histograms.
+//! * **name-keyed postings** — one hash map per name kind, from each
+//!   in-use vendor (product) name to the ids of the CVEs naming it,
+//!   ascending. A watch query is one hash probe, and its answer borrows the
+//!   posting list as a slice;
+//! * **secondary indexes** — per-CWE and per-severity-band id postings,
+//!   plus one `(published, id)`-ordered permutation with aligned date and
+//!   id columns, so a patch window is two binary searches over the dates
+//!   and a borrowed slice of the ids.
 //!
-//! Construction fans over `minipar` (per-shard sorts, chunked postings
-//! proposal) with the workspace's standing guarantee: the built index — and
-//! therefore every query answer — is bit-identical at any `NVD_JOBS`.
+//! Construction fans over `minipar` (per-shard sorts, per-entry
+//! projections) with the workspace's standing guarantee: the built index —
+//! and therefore every query answer — is bit-identical at any `NVD_JOBS`.
+//! Nothing depends on the hash maps' iteration order: the digest folds the
+//! name postings in ascending name order.
 //!
 //! # Staying warm under delta feeds
 //!
@@ -26,13 +29,16 @@
 //! ([`ServeIndex::into_state`]), push the delta's entries into the
 //! database, surgically update the touched structures
 //! ([`ServeIndexState::apply_delta`]), and re-attach
-//! ([`ServeIndexState::attach`]). Every structure is a canonical sorted
-//! function of the entry set — names whose last posting disappears are
-//! evicted, new names are spliced in at their sorted position — so the
-//! updated state is **bit-identical** (digest-equal) to a fresh build of
-//! the updated database, which `tests/determinism.rs` enforces.
+//! ([`ServeIndexState::attach`]). Every structure is a canonical function
+//! of the entry set — a name whose last posting disappears loses its key, a
+//! new name gains one, and every list stays sorted — so the updated state
+//! is **bit-identical** (digest-equal) to a fresh build of the updated
+//! database, which `tests/determinism.rs` enforces.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
+use std::ops::Range;
 
 use nvd_clean::quality::{QualityIssue, QualityLedger, QualityScore, Resolution, ScoreAxis};
 use nvd_model::prelude::{
@@ -42,11 +48,6 @@ use nvd_model::prelude::{
 use crate::query::{
     effective_severity, fnv1a, hash_cve_id, Query, QueryEngine, QueryResult, FNV_OFFSET,
 };
-
-/// Entries per work unit for the chunked postings-proposal passes. Small
-/// enough to load-balance a skewed corpus, large enough that the inline
-/// `jobs = 1` path pays no chunking overhead worth measuring.
-const POSTING_CHUNK: usize = 256;
 
 /// Every score axis, in [`ScoreAxis::code`] order: the row order of
 /// `ServeIndexState::quality_deciles`.
@@ -130,10 +131,9 @@ impl EntryProjection {
     }
 }
 
-/// The owned half of a [`ServeIndex`]: every shard, name universe, and
-/// posting list, independent of the database's borrow — so it can outlive
-/// a database mutation and absorb deltas in place via
-/// [`ServeIndexState::apply_delta`].
+/// The owned half of a [`ServeIndex`]: every shard and posting list,
+/// independent of the database's borrow — so it can outlive a database
+/// mutation and absorb deltas in place via [`ServeIndexState::apply_delta`].
 #[derive(Debug, Clone)]
 pub struct ServeIndexState {
     /// `ids[i]` is the id of database entry `i`, in insertion order.
@@ -141,20 +141,23 @@ pub struct ServeIndexState {
     shard_count: usize,
     /// Per-shard entry indices, each sorted ascending by CVE id.
     id_shards: Vec<Vec<u32>>,
-    /// Sorted owned vendor universe; dense vendor id = position.
-    vendor_names: Vec<VendorName>,
-    /// Per-vendor-id entry indices, sorted ascending by CVE id.
-    vendor_postings: Vec<Vec<u32>>,
-    /// Sorted owned product universe; dense product id = position.
-    product_names: Vec<ProductName>,
-    /// Per-product-id entry indices, sorted ascending by CVE id.
-    product_postings: Vec<Vec<u32>>,
-    /// Non-empty per-CWE postings, ascending by CWE id.
-    cwe_postings: Vec<(CweId, Vec<u32>)>,
-    /// Non-empty per-band postings, ascending by severity band.
-    severity_postings: Vec<(Severity, Vec<u32>)>,
+    /// Per in-use vendor, the CVE ids naming it, ascending. Keys are
+    /// exactly the vendors of the indexed entries: no list is empty.
+    vendor_postings: HashMap<VendorName, Vec<CveId>>,
+    /// Per in-use product, the CVE ids naming it, ascending.
+    product_postings: HashMap<ProductName, Vec<CveId>>,
+    /// Non-empty per-CWE id postings, ascending by CWE id.
+    cwe_postings: Vec<(CweId, Vec<CveId>)>,
+    /// Non-empty per-band id postings, ascending by severity band.
+    severity_postings: Vec<(Severity, Vec<CveId>)>,
     /// All entry indices, sorted ascending by `(published, id)`.
     date_order: Vec<u32>,
+    /// `date_ids[k]` is the id of entry `date_order[k]`: the column a
+    /// patch window answers with as a borrowed slice.
+    date_ids: Vec<CveId>,
+    /// `dates[k]` is the publication date of entry `date_order[k]`: the
+    /// column window bounds are binary-searched in.
+    dates: Vec<Date>,
     /// Per-entry projections, aligned with `ids`.
     projections: Vec<EntryProjection>,
     /// Per-CVE quality issues for served entries, attached via
@@ -184,16 +187,6 @@ pub struct ServeIndex<'a> {
     state: ServeIndexState,
 }
 
-/// Binary search over a sorted owned name slice (dense id = position).
-macro_rules! name_id_of {
-    ($names:expr, $s:expr) => {
-        $names
-            .binary_search_by(|n| n.as_str().cmp($s))
-            .ok()
-            .map(|i| i as u32)
-    };
-}
-
 impl ServeIndexState {
     /// Builds the owned state for `db` with `shard_count` id shards.
     pub fn build(db: &Database, shard_count: usize) -> Self {
@@ -213,57 +206,56 @@ impl ServeIndexState {
             sorted
         });
 
-        // --- owned name universes (dense ids in ascending name order). -
-        let vendor_names: Vec<VendorName> = db.vendor_set().into_iter().cloned().collect();
-        let product_names: Vec<ProductName> = db.product_set().into_iter().cloned().collect();
-
-        // --- postings: chunked parallel proposal, ordered assembly. ----
-        let vendor_pairs = propose_pairs(&entries, |entry, out| {
-            for cpe in &entry.affected {
-                out.push(name_id_of!(vendor_names, cpe.vendor.as_str()).expect("interned vendor"));
-            }
-        });
-        let vendor_postings = group_postings(vendor_pairs, vendor_names.len(), &ids);
-        let product_pairs = propose_pairs(&entries, |entry, out| {
-            for cpe in &entry.affected {
-                out.push(
-                    name_id_of!(product_names, cpe.product.as_str()).expect("interned product"),
-                );
-            }
-        });
-        let product_postings = group_postings(product_pairs, product_names.len(), &ids);
-
-        // --- secondary indexes (serial: one cheap pass each). ----------
-        let mut cwe_pairs: Vec<(CweId, u32)> = Vec::new();
-        let mut severity_pairs: Vec<(Severity, u32)> = Vec::new();
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(cwe) = entry.effective_cwe().specific() {
-                cwe_pairs.push((cwe, i as u32));
-            }
-            if let Some(band) = effective_severity(entry) {
-                severity_pairs.push((band, i as u32));
-            }
-        }
-        let cwe_postings = group_keyed(cwe_pairs, &ids);
-        let severity_postings = group_keyed(severity_pairs, &ids);
-
-        let mut date_order: Vec<u32> = (0..n as u32).collect();
-        date_order.sort_unstable_by_key(|&i| (entries[i as usize].published, ids[i as usize]));
-
         let projections: Vec<EntryProjection> =
             minipar::par_map(&entries, |e| EntryProjection::of(e));
+
+        // --- postings: pushed in entry order, then sorted by id. -------
+        let mut vendor_postings: HashMap<VendorName, Vec<CveId>> = HashMap::new();
+        let mut product_postings: HashMap<ProductName, Vec<CveId>> = HashMap::new();
+        let mut cwe_postings: BTreeMap<CweId, Vec<CveId>> = BTreeMap::new();
+        let mut severity_postings: BTreeMap<Severity, Vec<CveId>> = BTreeMap::new();
+        for (p, &id) in projections.iter().zip(&ids) {
+            for v in &p.vendors {
+                push_posting(&mut vendor_postings, v, id);
+            }
+            for name in &p.products {
+                push_posting(&mut product_postings, name, id);
+            }
+            if let Some(cwe) = p.cwe {
+                cwe_postings.entry(cwe).or_default().push(id);
+            }
+            if let Some(band) = p.severity {
+                severity_postings.entry(band).or_default().push(id);
+            }
+        }
+        let lists = vendor_postings
+            .values_mut()
+            .chain(product_postings.values_mut())
+            .chain(cwe_postings.values_mut())
+            .chain(severity_postings.values_mut());
+        for list in lists {
+            list.sort_unstable();
+        }
+
+        let mut date_order: Vec<u32> = (0..n as u32).collect();
+        date_order.sort_unstable_by_key(|&i| (projections[i as usize].published, ids[i as usize]));
+        let date_ids: Vec<CveId> = date_order.iter().map(|&i| ids[i as usize]).collect();
+        let dates: Vec<Date> = date_order
+            .iter()
+            .map(|&i| projections[i as usize].published)
+            .collect();
 
         Self {
             ids,
             shard_count,
             id_shards,
-            vendor_names,
             vendor_postings,
-            product_names,
             product_postings,
-            cwe_postings,
-            severity_postings,
+            cwe_postings: cwe_postings.into_iter().collect(),
+            severity_postings: severity_postings.into_iter().collect(),
             date_order,
+            date_ids,
+            dates,
             projections,
             quality: BTreeMap::new(),
             quality_deciles: [[0; 11]; 4],
@@ -304,9 +296,10 @@ impl ServeIndexState {
     /// `Database::push` semantics) and `touched` lists the delivered ids.
     ///
     /// Only the structures a touched entry participates in are rewritten:
-    /// its shard slot, the posting lists of names it gained or lost (names
-    /// are spliced in or evicted to keep the universe exactly the set of
-    /// in-use names), its CWE/severity buckets, and its `date_order` slot.
+    /// its shard slot, the posting lists of names it gained or lost (a name
+    /// gains a key on its first posting and loses it with its last, so the
+    /// keys stay exactly the in-use names), its CWE/severity buckets, and
+    /// its date slot.
     /// Untouched postings are not even visited. The update is serial —
     /// deltas are small — so it is trivially bit-identical at any
     /// `NVD_JOBS`; equality with a fresh build is the contract
@@ -352,10 +345,7 @@ impl ServeIndexState {
                         severity: None,
                     };
                     self.admit(i, &empty, &new);
-                    let pos = self
-                        .date_order
-                        .partition_point(|&j| self.date_key(j) < (new.published, id));
-                    self.date_order.insert(pos, i);
+                    self.insert_dated(i, new.published);
                     self.projections.push(new);
                 }
             }
@@ -427,8 +417,37 @@ impl ServeIndexState {
             .map(|pos| shard[pos])
     }
 
-    fn date_key(&self, i: u32) -> (Date, CveId) {
-        (self.projections[i as usize].published, self.ids[i as usize])
+    /// The date-order positions covering `since..=until`; empty when
+    /// `since > until`.
+    fn window(&self, since: Date, until: Date) -> Range<usize> {
+        let lower = self.dates.partition_point(|&d| d < since);
+        let upper = self.dates.partition_point(|&d| d <= until);
+        lower..upper.max(lower)
+    }
+
+    /// Position of `(published, id)` in the date order.
+    fn date_slot(&self, published: Date, id: CveId) -> usize {
+        let same_day = self.window(published, published);
+        same_day.start + self.date_ids[same_day].partition_point(|&j| j < id)
+    }
+
+    /// Inserts entry `i` into the date columns at its `(published, id)`
+    /// position.
+    fn insert_dated(&mut self, i: u32, published: Date) {
+        let id = self.ids[i as usize];
+        let pos = self.date_slot(published, id);
+        self.date_order.insert(pos, i);
+        self.date_ids.insert(pos, id);
+        self.dates.insert(pos, published);
+    }
+
+    /// Removes entry `i`, dated `published`, from the date columns.
+    fn remove_dated(&mut self, i: u32, published: Date) {
+        let pos = self.date_slot(published, self.ids[i as usize]);
+        debug_assert_eq!(self.date_order[pos], i);
+        self.date_order.remove(pos);
+        self.date_ids.remove(pos);
+        self.dates.remove(pos);
     }
 
     /// Removes entry `i` from every structure the old projection put it
@@ -436,79 +455,45 @@ impl ServeIndexState {
     fn retire(&mut self, i: u32, old: &EntryProjection, new: &EntryProjection) {
         let id = self.ids[i as usize];
         for v in old.vendors.iter().filter(|v| !new.vendors.contains(v)) {
-            let vid = name_id_of!(self.vendor_names, v.as_str()).expect("indexed vendor");
-            remove_posting(&mut self.vendor_postings[vid as usize], i, &self.ids);
-            if self.vendor_postings[vid as usize].is_empty() {
-                self.vendor_names.remove(vid as usize);
-                self.vendor_postings.remove(vid as usize);
-            }
+            remove_named(&mut self.vendor_postings, v, id);
         }
         for p in old.products.iter().filter(|p| !new.products.contains(p)) {
-            let pid = name_id_of!(self.product_names, p.as_str()).expect("indexed product");
-            remove_posting(&mut self.product_postings[pid as usize], i, &self.ids);
-            if self.product_postings[pid as usize].is_empty() {
-                self.product_names.remove(pid as usize);
-                self.product_postings.remove(pid as usize);
-            }
+            remove_named(&mut self.product_postings, p, id);
         }
         if old.cwe != new.cwe {
             if let Some(cwe) = old.cwe {
-                remove_keyed(&mut self.cwe_postings, cwe, i, &self.ids);
+                remove_keyed(&mut self.cwe_postings, cwe, id);
             }
         }
         if old.severity != new.severity {
             if let Some(band) = old.severity {
-                remove_keyed(&mut self.severity_postings, band, i, &self.ids);
+                remove_keyed(&mut self.severity_postings, band, id);
             }
         }
         if old.published != new.published {
-            let pos = self
-                .date_order
-                .partition_point(|&j| self.date_key(j) < (old.published, id));
-            debug_assert_eq!(self.date_order[pos], i);
-            self.date_order.remove(pos);
-            let pos = self
-                .date_order
-                .partition_point(|&j| self.date_key(j) < (new.published, id));
-            self.date_order.insert(pos, i);
+            self.remove_dated(i, old.published);
+            self.insert_dated(i, new.published);
         }
     }
 
     /// Adds entry `i` to every structure the new projection puts it in
     /// and the old one didn't.
     fn admit(&mut self, i: u32, old: &EntryProjection, new: &EntryProjection) {
+        let id = self.ids[i as usize];
         for v in new.vendors.iter().filter(|v| !old.vendors.contains(v)) {
-            let vid = match name_id_of!(self.vendor_names, v.as_str()) {
-                Some(vid) => vid,
-                None => {
-                    let pos = self.vendor_names.partition_point(|n| n < v);
-                    self.vendor_names.insert(pos, v.clone());
-                    self.vendor_postings.insert(pos, Vec::new());
-                    pos as u32
-                }
-            };
-            insert_posting(&mut self.vendor_postings[vid as usize], i, &self.ids);
+            insert_posting(self.vendor_postings.entry(v.clone()).or_default(), id);
         }
         for p in new.products.iter().filter(|p| !old.products.contains(p)) {
-            let pid = match name_id_of!(self.product_names, p.as_str()) {
-                Some(pid) => pid,
-                None => {
-                    let pos = self.product_names.partition_point(|n| n < p);
-                    self.product_names.insert(pos, p.clone());
-                    self.product_postings.insert(pos, Vec::new());
-                    pos as u32
-                }
-            };
-            insert_posting(&mut self.product_postings[pid as usize], i, &self.ids);
+            insert_posting(self.product_postings.entry(p.clone()).or_default(), id);
         }
         if new.cwe != old.cwe {
             if let Some(cwe) = new.cwe {
-                insert_keyed(&mut self.cwe_postings, cwe, i, &self.ids);
+                insert_keyed(&mut self.cwe_postings, cwe, id);
             }
         }
         if new.severity != old.severity {
             if let Some(band) = new.severity {
-                insert_keyed(&mut self.severity_postings, band, i, &self.ids);
+                insert_keyed(&mut self.severity_postings, band, id);
             }
         }
     }
@@ -521,26 +506,24 @@ impl ServeIndexState {
     /// 1 vs 4 builds and incremental-vs-rebuilt states through this.
     pub fn digest(&self) -> u64 {
         let mut h = fnv1a(FNV_OFFSET, &(self.shard_count as u64).to_le_bytes());
-        let fold_postings = |h: &mut u64, postings: &[Vec<u32>]| {
-            for list in postings {
-                *h = fnv1a(*h, &(list.len() as u64).to_le_bytes());
-                for &i in list {
-                    *h = fnv1a(*h, &hash_cve_id(self.ids[i as usize]).to_le_bytes());
-                }
-            }
-        };
-        fold_postings(&mut h, &self.id_shards);
-        fold_postings(&mut h, &self.vendor_postings);
-        fold_postings(&mut h, &self.product_postings);
+        for shard in &self.id_shards {
+            h = fold_list(h, shard.iter().map(|&i| self.ids[i as usize]));
+        }
+        for list in sorted_by_key(&self.vendor_postings) {
+            h = fold_list(h, list.iter().copied());
+        }
+        for list in sorted_by_key(&self.product_postings) {
+            h = fold_list(h, list.iter().copied());
+        }
         for (cwe, list) in &self.cwe_postings {
             h = fnv1a(h, &cwe.number().to_le_bytes());
-            fold_postings(&mut h, std::slice::from_ref(list));
+            h = fold_list(h, list.iter().copied());
         }
         for (band, list) in &self.severity_postings {
             h = fnv1a(h, band.abbrev().as_bytes());
-            fold_postings(&mut h, std::slice::from_ref(list));
+            h = fold_list(h, list.iter().copied());
         }
-        fold_postings(&mut h, std::slice::from_ref(&self.date_order));
+        h = fold_list(h, self.date_ids.iter().copied());
         for (id, issues) in &self.quality {
             h = fnv1a(h, &hash_cve_id(*id).to_le_bytes());
             h = fnv1a(h, &(issues.len() as u64).to_le_bytes());
@@ -560,43 +543,81 @@ impl ServeIndexState {
     }
 }
 
-/// Removes `i` from a posting list sorted by CVE id.
+/// Folds one id list into the digest: its length, then each id's hash.
+fn fold_list(mut h: u64, list: impl ExactSizeIterator<Item = CveId>) -> u64 {
+    h = fnv1a(h, &(list.len() as u64).to_le_bytes());
+    for id in list {
+        h = fnv1a(h, &hash_cve_id(id).to_le_bytes());
+    }
+    h
+}
+
+/// A name map's posting lists in ascending name order, so nothing that
+/// reads them depends on the map's iteration order.
+fn sorted_by_key<K: Ord>(map: &HashMap<K, Vec<CveId>>) -> Vec<&Vec<CveId>> {
+    let mut pairs: Vec<(&K, &Vec<CveId>)> = map.iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    pairs.into_iter().map(|(_, list)| list).collect()
+}
+
+/// Appends `id` to the posting list of `name`, creating it on first use.
+fn push_posting<K: Hash + Eq + Clone>(map: &mut HashMap<K, Vec<CveId>>, name: &K, id: CveId) {
+    match map.get_mut(name) {
+        Some(list) => list.push(id),
+        None => {
+            map.insert(name.clone(), vec![id]);
+        }
+    }
+}
+
+/// Removes `id` from the posting list of `name`, dropping the key when the
+/// list empties (fresh builds only hold in-use names).
 ///
 /// # Panics
 ///
-/// Panics if `i` is not in the list.
-fn remove_posting(list: &mut Vec<u32>, i: u32, ids: &[CveId]) {
-    let id = ids[i as usize];
-    let pos = list.partition_point(|&j| ids[j as usize] < id);
-    assert!(list.get(pos) == Some(&i), "posted entry");
+/// Panics if `id` is not posted under `name`.
+fn remove_named<K: Hash + Eq>(map: &mut HashMap<K, Vec<CveId>>, name: &K, id: CveId) {
+    let list = map.get_mut(name).expect("indexed name");
+    remove_posting(list, id);
+    if list.is_empty() {
+        map.remove(name);
+    }
+}
+
+/// Removes `id` from an ascending posting list.
+///
+/// # Panics
+///
+/// Panics if `id` is not in the list.
+fn remove_posting(list: &mut Vec<CveId>, id: CveId) {
+    let pos = list.binary_search(&id).expect("posted entry");
     list.remove(pos);
 }
 
-/// Inserts `i` into a posting list at its CVE-id-sorted position.
-fn insert_posting(list: &mut Vec<u32>, i: u32, ids: &[CveId]) {
-    let id = ids[i as usize];
-    let pos = list.partition_point(|&j| ids[j as usize] < id);
-    list.insert(pos, i);
+/// Inserts `id` into an ascending posting list at its sorted position.
+fn insert_posting(list: &mut Vec<CveId>, id: CveId) {
+    let pos = list.binary_search(&id).unwrap_or_else(|pos| pos);
+    list.insert(pos, id);
 }
 
-/// Removes `i` from the keyed posting list for `key`, dropping the bucket
+/// Removes `id` from the keyed posting list for `key`, dropping the bucket
 /// when it empties (fresh builds only materialise non-empty buckets).
-fn remove_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<u32>)>, key: K, i: u32, ids: &[CveId]) {
+fn remove_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<CveId>)>, key: K, id: CveId) {
     let b = buckets
         .binary_search_by_key(&key, |&(k, _)| k)
         .expect("indexed bucket");
-    remove_posting(&mut buckets[b].1, i, ids);
+    remove_posting(&mut buckets[b].1, id);
     if buckets[b].1.is_empty() {
         buckets.remove(b);
     }
 }
 
-/// Inserts `i` into the keyed posting list for `key`, creating the bucket
+/// Inserts `id` into the keyed posting list for `key`, creating the bucket
 /// at its sorted position when absent.
-fn insert_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<u32>)>, key: K, i: u32, ids: &[CveId]) {
+fn insert_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<CveId>)>, key: K, id: CveId) {
     match buckets.binary_search_by_key(&key, |&(k, _)| k) {
-        Ok(b) => insert_posting(&mut buckets[b].1, i, ids),
-        Err(b) => buckets.insert(b, (key, vec![i])),
+        Ok(b) => insert_posting(&mut buckets[b].1, id),
+        Err(b) => buckets.insert(b, (key, vec![id])),
     }
 }
 
@@ -648,14 +669,14 @@ impl<'a> ServeIndex<'a> {
         self.state.shard_count
     }
 
-    /// Number of distinct interned vendors.
+    /// Number of distinct vendors named by the indexed entries.
     pub fn vendor_count(&self) -> usize {
-        self.state.vendor_names.len()
+        self.state.vendor_postings.len()
     }
 
-    /// Number of distinct interned products.
+    /// Number of distinct products named by the indexed entries.
     pub fn product_count(&self) -> usize {
-        self.state.product_names.len()
+        self.state.product_postings.len()
     }
 
     /// Point lookup: shard hash plus binary search within the shard.
@@ -668,99 +689,22 @@ impl<'a> ServeIndex<'a> {
     pub fn digest(&self) -> u64 {
         self.state.digest()
     }
-
-    /// The `date_order` slice covering `since..=until`.
-    fn window_slice(&self, since: Date, until: Date) -> &[u32] {
-        let lower = self
-            .state
-            .date_order
-            .partition_point(|&i| self.entries[i as usize].published < since);
-        let upper = self
-            .state
-            .date_order
-            .partition_point(|&i| self.entries[i as usize].published <= until);
-        &self.state.date_order[lower..upper]
-    }
-
-    fn ids_of(&self, postings: &[u32]) -> Vec<CveId> {
-        postings
-            .iter()
-            .map(|&i| self.state.ids[i as usize])
-            .collect()
-    }
 }
 
-/// Chunked parallel postings proposal: maps each entry to its name ids,
-/// returning `(name_id, entry_idx)` pairs concatenated in entry order.
-/// Chunk boundaries are fixed by [`POSTING_CHUNK`], so the pair stream is
-/// identical at any thread count; duplicate pairs (one entry, several CPEs
-/// of the same name) are collapsed later in [`group_postings`].
-fn propose_pairs(
-    entries: &[&CveEntry],
-    emit: impl Fn(&CveEntry, &mut Vec<u32>) + Sync,
-) -> Vec<(u32, u32)> {
-    let idx: Vec<u32> = (0..entries.len() as u32).collect();
-    minipar::par_chunks(&idx, POSTING_CHUNK, |_ci, part| {
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(part.len());
-        let mut scratch: Vec<u32> = Vec::new();
-        for &i in part {
-            scratch.clear();
-            emit(entries[i as usize], &mut scratch);
-            pairs.extend(scratch.iter().map(|&nid| (nid, i)));
-        }
-        pairs
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Groups `(name_id, entry_idx)` pairs into per-name postings sorted by
-/// CVE id.
-fn group_postings(mut pairs: Vec<(u32, u32)>, names: usize, ids: &[CveId]) -> Vec<Vec<u32>> {
-    pairs.sort_unstable_by_key(|&(nid, i)| (nid, ids[i as usize]));
-    pairs.dedup();
-    let mut postings: Vec<Vec<u32>> = vec![Vec::new(); names];
-    for (nid, i) in pairs {
-        postings[nid as usize].push(i);
-    }
-    postings
-}
-
-/// Groups `(key, entry_idx)` pairs into non-empty per-key postings sorted
-/// by CVE id, keys ascending.
-fn group_keyed<K: Ord + Copy>(mut pairs: Vec<(K, u32)>, ids: &[CveId]) -> Vec<(K, Vec<u32>)> {
-    pairs.sort_unstable_by_key(|&(k, i)| (k, ids[i as usize]));
-    let mut grouped: Vec<(K, Vec<u32>)> = Vec::new();
-    for (k, i) in pairs {
-        match grouped.last_mut() {
-            Some((key, list)) if *key == k => list.push(i),
-            _ => grouped.push((k, vec![i])),
-        }
-    }
-    grouped
+/// A watch answer: the borrowed posting list, or empty for an unknown name.
+fn watch_answer(list: Option<&Vec<CveId>>) -> QueryResult<'_> {
+    QueryResult::Ids(Cow::Borrowed(list.map_or(&[], Vec::as_slice)))
 }
 
 impl QueryEngine for ServeIndex<'_> {
     fn execute<'db>(&'db self, query: &Query) -> QueryResult<'db> {
         match query {
             Query::PointLookup(id) => QueryResult::Entry(self.get(*id)),
-            Query::VendorWatch(vendor) => {
-                let ids = match name_id_of!(self.state.vendor_names, vendor.as_str()) {
-                    Some(vid) => self.ids_of(&self.state.vendor_postings[vid as usize]),
-                    None => Vec::new(),
-                };
-                QueryResult::Ids(ids)
-            }
-            Query::ProductWatch(product) => {
-                let ids = match name_id_of!(self.state.product_names, product.as_str()) {
-                    Some(pid) => self.ids_of(&self.state.product_postings[pid as usize]),
-                    None => Vec::new(),
-                };
-                QueryResult::Ids(ids)
-            }
+            Query::VendorWatch(vendor) => watch_answer(self.state.vendor_postings.get(vendor)),
+            Query::ProductWatch(product) => watch_answer(self.state.product_postings.get(product)),
             Query::PatchWindow { since, until } => {
-                QueryResult::Ids(self.ids_of(self.window_slice(*since, *until)))
+                let window = self.state.window(*since, *until);
+                QueryResult::Ids(Cow::Borrowed(&self.state.date_ids[window]))
             }
             Query::SeverityHistogram { window } => match window {
                 None => QueryResult::SeverityHistogram(
@@ -772,7 +716,7 @@ impl QueryEngine for ServeIndex<'_> {
                 ),
                 Some((since, until)) => {
                     let mut counts = [0usize; 5];
-                    for &i in self.window_slice(*since, *until) {
+                    for &i in &self.state.date_order[self.state.window(*since, *until)] {
                         if let Some(band) = effective_severity(self.entries[i as usize]) {
                             counts[band as usize] += 1;
                         }

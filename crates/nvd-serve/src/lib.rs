@@ -8,12 +8,14 @@
 //! practitioners' top asks are a *faster, more queryable, more reliable*
 //! NVD interface. This crate is that interface for an in-memory cleaned
 //! corpus: [`ServeIndex`] loads a [`Database`](nvd_model::database::Database)
-//! into sharded indexes (hash-sharded CVE id shards, owned sorted
-//! vendor/product name universes with per-name postings, CWE /
-//! severity-band / publication-date secondary indexes) behind the typed
-//! [`Query`] API. [`LinearScan`] is the frozen pre-index replica — every
-//! query answered by a full database walk — kept as the benchmark baseline
-//! and parity oracle.
+//! into sharded indexes (hash-sharded CVE id shards, name-keyed
+//! vendor/product postings, CWE / severity-band / publication-date
+//! secondary indexes) behind the typed [`Query`] API. Id-list answers
+//! borrow from the index: a vendor or product watch is one hash probe plus
+//! a borrowed posting list, and a patch window is two binary searches plus
+//! a borrowed slice of the date-ordered id column. [`LinearScan`] is the
+//! frozen pre-index replica — every query answered by a full database walk,
+//! each id list collected and owned — kept as the parity oracle.
 //!
 //! The index splits into an owned [`ServeIndexState`] plus a borrowed
 //! entry view, so dated delta feeds can be absorbed **warm**: detach the
@@ -36,12 +38,13 @@
 //! **Determinism contract:** query answers are *canonical* (see
 //! [`query`]), so results are bit-identical at any shard count and any
 //! `NVD_JOBS`, and identical between [`ServeIndex`] and [`LinearScan`].
-//! The workspace determinism suite and the `serve` bench enforce all three
-//! equalities before any timing is taken.
+//! The workspace determinism suite enforces all three equalities, and
+//! perfbench's `serve_mixed` workload checks index-vs-scan parity on a
+//! sample of its replayed stream.
 //!
 //! [`workload`] generates deterministic synthetic traffic (zipf point
-//! lookups, bursty watch scans, mixed range/histogram polls) to drive the
-//! benches and any future real front end.
+//! lookups, bursty watch scans, mixed range/histogram polls) to drive
+//! perfbench and any future real front end.
 //!
 //! ## Example
 //!
@@ -54,7 +57,7 @@
 //! let entry = corpus.database.iter().next().unwrap();
 //! // Point lookup: one shard hash + one binary search.
 //! assert_eq!(index.get(entry.id).map(|e| e.id), Some(entry.id));
-//! // Watch query: interned postings, ids ascending.
+//! // Watch query: one hash probe, a borrowed posting list, ids ascending.
 //! let vendor = entry.affected.first().map(|c| c.vendor.clone());
 //! if let Some(vendor) = vendor {
 //!     let result = index.execute(&Query::VendorWatch(vendor));
@@ -147,6 +150,50 @@ mod tests {
             .map(|id| (db.get(id).unwrap().published, *id))
             .collect();
         assert!(keyed.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn degenerate_windows_match_linear_scan_at_any_shard_count() {
+        let db = corpus_db();
+        let scan = LinearScan::new(&db);
+        let day = |s: &str| s.parse::<Date>().unwrap();
+        let first = db.iter().map(|e| e.published).min().unwrap();
+        let published = db.iter().next().unwrap().published;
+        let windows = [
+            // Inverted: `since` after `until`.
+            (day("2015-06-01"), day("2010-01-01")),
+            (published, Date::from_day_number(published.day_number() - 1)),
+            // Empty: before the first publication.
+            (
+                day("1990-01-01"),
+                Date::from_day_number(first.day_number() - 1),
+            ),
+            // Single days, including one that publishes something.
+            (published, published),
+            (first, first),
+        ];
+        for shards in [1usize, 3, 16, 64] {
+            let index = ServeIndex::with_shards(&db, shards);
+            for (since, until) in windows {
+                for q in [
+                    Query::PatchWindow { since, until },
+                    Query::SeverityHistogram {
+                        window: Some((since, until)),
+                    },
+                ] {
+                    assert_eq!(
+                        index.execute(&q),
+                        scan.execute(&q),
+                        "{q:?} diverged at shard_count={shards}"
+                    );
+                }
+            }
+            let q = Query::PatchWindow {
+                since: published,
+                until: published,
+            };
+            assert!(!index.execute(&q).is_empty(), "a publishing day is served");
+        }
     }
 
     #[test]

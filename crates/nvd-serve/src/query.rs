@@ -18,6 +18,8 @@
 //! [`ServeIndex`]: crate::ServeIndex
 //! [`LinearScan`]: crate::LinearScan
 
+use std::borrow::Cow;
+
 use nvd_clean::quality::{QualityIssue, QualityScore, Resolution, ScoreAxis};
 use nvd_model::prelude::{CveEntry, CveId, CweId, Date, ProductName, Severity, VendorName};
 
@@ -59,13 +61,19 @@ pub enum Query {
 }
 
 /// The answer to a [`Query`], borrowing entry data from the served database.
+///
+/// Equality, [`len`](Self::len) and [`checksum`](Self::checksum) look only
+/// at the carried values, never at whether an id list is borrowed or owned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult<'db> {
     /// Point-lookup hit or miss.
     Entry(Option<&'db CveEntry>),
     /// An ordered CVE id list (watch queries ascending by id; patch
     /// windows ascending by `(published, id)`).
-    Ids(Vec<CveId>),
+    /// [`ServeIndex`](crate::ServeIndex) lends its posting lists
+    /// ([`Cow::Borrowed`]); [`LinearScan`](crate::LinearScan) collects an
+    /// owned list per query ([`Cow::Owned`]).
+    Ids(Cow<'db, [CveId]>),
     /// Non-empty severity buckets, ascending by band.
     SeverityHistogram(Vec<(Severity, usize)>),
     /// Non-empty CWE buckets, ascending by id.
@@ -121,8 +129,8 @@ impl QueryResult<'_> {
     ///
     /// Cheap enough to fold over millions of workload queries, yet strict
     /// enough that any reordering, dropped id, or shifted count changes it —
-    /// the serve benches and determinism tests compare engines and shard
-    /// counts through this.
+    /// perfbench and the determinism tests compare engines and shard counts
+    /// through this.
     pub fn checksum(&self) -> u64 {
         match self {
             QueryResult::Entry(e) => {
@@ -136,7 +144,7 @@ impl QueryResult<'_> {
             }
             QueryResult::Ids(ids) => {
                 let mut h = fnv1a(FNV_OFFSET, b"ids");
-                for &id in ids {
+                for &id in ids.iter() {
                     h = fnv1a(h, &hash_cve_id(id).to_le_bytes());
                 }
                 h
@@ -189,9 +197,9 @@ impl QueryResult<'_> {
 
 /// Anything that can answer [`Query`]s over one database.
 ///
-/// Both the sharded index and the linear-scan replica implement this; the
-/// benches and tests drive whole workloads through the trait so the two
-/// paths stay comparable query-for-query.
+/// Both the sharded index and the linear-scan replica implement this;
+/// perfbench and the tests drive whole workloads through the trait so the
+/// two paths stay comparable query-for-query.
 pub trait QueryEngine {
     /// Answers one query in canonical form.
     fn execute<'db>(&'db self, query: &Query) -> QueryResult<'db>;
@@ -233,15 +241,20 @@ mod tests {
     fn checksum_is_order_sensitive() {
         let a: CveId = "CVE-2001-0001".parse().unwrap();
         let b: CveId = "CVE-2001-0002".parse().unwrap();
-        let fwd = QueryResult::Ids(vec![a, b]).checksum();
-        let rev = QueryResult::Ids(vec![b, a]).checksum();
+        let fwd = QueryResult::Ids(vec![a, b].into()).checksum();
+        let rev = QueryResult::Ids(vec![b, a].into()).checksum();
         assert_ne!(fwd, rev);
-        assert_ne!(QueryResult::Ids(vec![a]).checksum(), fwd);
+        assert_ne!(QueryResult::Ids(vec![a].into()).checksum(), fwd);
+        let borrowed = [a, b];
+        assert_eq!(
+            QueryResult::Ids(Cow::Borrowed(&borrowed[..])).checksum(),
+            fwd
+        );
     }
 
     #[test]
     fn checksum_distinguishes_variants() {
-        let empty_ids = QueryResult::Ids(Vec::new());
+        let empty_ids = QueryResult::Ids(Vec::new().into());
         let miss = QueryResult::Entry(None);
         assert_ne!(empty_ids.checksum(), miss.checksum());
         assert!(empty_ids.is_empty());

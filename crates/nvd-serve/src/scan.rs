@@ -1,12 +1,15 @@
 //! The legacy read path: answer every query by scanning the whole database.
 //!
-//! This is the replica the serve benches gate against — it reproduces, per
-//! query, exactly what pre-index callers did: `Database::iter` plus an
+//! This is the parity oracle the index is checked against — it reproduces,
+//! per query, exactly what pre-index callers did: `Database::iter` plus an
 //! ad-hoc filter (`examples/vendor_watch.rs` walked `cves_by_vendor`,
 //! `examples/patch_window.rs` walked every entry). Answers are canonical
 //! (see [`crate::query`]) so they compare bit-for-bit against
 //! [`ServeIndex`](crate::ServeIndex); only the cost differs — every query
-//! is `O(database)` here, independent of selectivity.
+//! is `O(database)` here, independent of selectivity, and every id list is
+//! collected into an owned vector where the index lends a slice.
+
+use std::borrow::Cow;
 
 use nvd_clean::quality::{QualityLedger, QualityScore};
 use nvd_model::prelude::{CveId, Database};
@@ -55,7 +58,7 @@ impl QueryEngine for LinearScan<'_> {
                     .map(|entry| entry.id)
                     .collect();
                 ids.sort_unstable();
-                QueryResult::Ids(ids)
+                QueryResult::Ids(Cow::Owned(ids))
             }
             Query::ProductWatch(product) => {
                 let mut ids: Vec<CveId> = self
@@ -65,7 +68,7 @@ impl QueryEngine for LinearScan<'_> {
                     .map(|entry| entry.id)
                     .collect();
                 ids.sort_unstable();
-                QueryResult::Ids(ids)
+                QueryResult::Ids(Cow::Owned(ids))
             }
             Query::PatchWindow { since, until } => {
                 let mut hits: Vec<_> = self
@@ -75,7 +78,7 @@ impl QueryEngine for LinearScan<'_> {
                     .map(|entry| (entry.published, entry.id))
                     .collect();
                 hits.sort_unstable();
-                QueryResult::Ids(hits.into_iter().map(|(_, id)| id).collect())
+                QueryResult::Ids(Cow::Owned(hits.into_iter().map(|(_, id)| id).collect()))
             }
             Query::SeverityHistogram { window } => {
                 let mut counts = [0usize; 5];

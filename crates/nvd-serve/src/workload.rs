@@ -18,7 +18,7 @@
 //!
 //! The generator is sequential over one `StdRng` stream, so a seed pins
 //! the exact query sequence at any scale — the determinism suite asserts
-//! seed stability, and the serve benches replay identical workloads
+//! seed stability, and perfbench and the tests replay identical workloads
 //! through both engines.
 
 use nvd_model::prelude::{CveId, Database, Date, ProductName, VendorName};

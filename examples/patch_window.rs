@@ -58,7 +58,7 @@ fn main() {
 
     let mut by_band: BTreeMap<Severity, (u64, u64, usize)> = BTreeMap::new();
     let mut worst: Vec<(i32, String)> = Vec::new();
-    for id in &recent {
+    for id in recent.iter() {
         let entry = index.get(*id).expect("window ids resolve via point lookup");
         let Some(band) = entry.severity_v2() else {
             continue;

@@ -340,20 +340,26 @@ fn serve_index_build_is_bit_identical_across_job_counts() {
 #[test]
 fn serve_answers_are_invariant_under_shard_count() {
     // Shard routing is a pure function of the CVE id, so answers — checked
-    // via the order-sensitive workload checksum over mixed traffic — must
-    // be bit-identical at any shard count and identical to the frozen
-    // linear-scan replica.
+    // via the order-sensitive workload checksum over point-heavy and mixed
+    // traffic — must be bit-identical at any shard count and identical to
+    // the frozen linear-scan replica.
     use nvd_serve::{generate_workload, run_workload, LinearScan, ServeIndex, WorkloadProfile};
     let corpus = generate(&SynthConfig::with_scale(0.01, 4242));
-    let workload = generate_workload(&corpus.database, &WorkloadProfile::mixed(600), 0xd15c);
-    let oracle = run_workload(&LinearScan::new(&corpus.database), &workload);
-    for shards in [1, 3, 16, 64] {
-        let index = ServeIndex::with_shards(&corpus.database, shards);
-        let summary = run_workload(&index, &workload);
-        assert_eq!(
-            summary, oracle,
-            "serve answers diverged from the linear scan at {shards} shards"
-        );
+    let scan = LinearScan::new(&corpus.database);
+    for profile in [
+        WorkloadProfile::point_heavy(2_000),
+        WorkloadProfile::mixed(600),
+    ] {
+        let workload = generate_workload(&corpus.database, &profile, 0xd15c);
+        let oracle = run_workload(&scan, &workload);
+        for shards in [1, 3, 16, 64] {
+            let index = ServeIndex::with_shards(&corpus.database, shards);
+            let summary = run_workload(&index, &workload);
+            assert_eq!(
+                summary, oracle,
+                "serve answers diverged from the linear scan at {shards} shards on {profile:?}"
+            );
+        }
     }
 }
 
@@ -542,6 +548,61 @@ impl Strategy for ArbDeltaSteps {
             }
         }
         steps
+    }
+}
+
+proptest! {
+    #[test]
+    fn warm_serve_answers_equal_linear_scan_on_random_delta_sequences(steps in ArbDeltaSteps) {
+        // The warm-update digest never hashes names, so this checks the
+        // answers themselves: after every delta, each vendor and product
+        // ever delivered (evicted ones included) plus one absent name
+        // must watch exactly what the scan finds, and the name counts must
+        // equal the database's name sets.
+        use std::collections::BTreeSet;
+        use nvd_model::prelude::{ProductName, VendorName};
+        use nvd_serve::{LinearScan, Query, QueryEngine, ServeIndex};
+        let mut queries: Vec<Query> = vec![
+            Query::VendorWatch(VendorName::new("absent-vendor")),
+            Query::ProductWatch(ProductName::new("absent-product")),
+            Query::PatchWindow {
+                since: "1990-01-01".parse().unwrap(),
+                until: "2100-12-31".parse().unwrap(),
+            },
+            Query::SeverityHistogram { window: None },
+            Query::CweHistogram,
+        ];
+        let cpes: BTreeSet<_> = steps.iter().flatten().flat_map(|e| e.affected.iter()).collect();
+        for cpe in cpes {
+            queries.push(Query::VendorWatch(cpe.vendor.clone()));
+            queries.push(Query::ProductWatch(cpe.product.clone()));
+        }
+        for shards in [1usize, 3, 16, 64] {
+            let mut db = Database::new();
+            let mut state = ServeIndex::with_shards(&db, shards).into_state();
+            for (i, delta) in steps.iter().enumerate() {
+                let touched: Vec<CveId> = delta.iter().map(|e| e.id).collect();
+                for entry in delta {
+                    db.push(entry.clone());
+                }
+                state.apply_delta(&db, &touched);
+                let index = state.attach(&db);
+                let scan = LinearScan::new(&db);
+                for query in &queries {
+                    prop_assert_eq!(
+                        index.execute(query),
+                        scan.execute(query),
+                        "{:?} diverged at delta {}, {} shards",
+                        query,
+                        i,
+                        shards
+                    );
+                }
+                prop_assert_eq!(index.vendor_count(), db.vendor_set().len());
+                prop_assert_eq!(index.product_count(), db.product_set().len());
+                state = index.into_state();
+            }
+        }
     }
 }
 
