@@ -1,105 +1,25 @@
-//! Incremental-ingestion benches: absorbing one dated delta through the
-//! carried [`CleanState`] (and the warm `nvd-serve` index) vs paying for a
-//! clean-from-scratch of the accumulated corpus.
+//! Warm serve-index update bench: absorbing one dated delta through the
+//! `nvd-serve` [`ServeIndexState`](nvd_serve::ServeIndexState) vs
+//! rebuilding the index over the accumulated corpus.
 //!
 //! Run with `BENCH_JSON=BENCH_ingest.json cargo bench -p nvd-bench --bench
 //! ingest` to emit the artifact CI uploads. The gated question: once the
-//! stream is warm, does re-cleaning after one delta beat batch-cleaning
-//! the final corpus at one job — on the best observation *and* at the p99
-//! tail? Equivalence is asserted before any timing: the incremental replay
-//! must be bit-identical to the batch pipeline at every delta, and the
-//! warm serve index digest-identical to a rebuild.
+//! stream is warm, does the in-place update beat a rebuild at one job — on
+//! the best observation *and* at the p99 tail? Before any timing the warm
+//! index is asserted digest-identical to a rebuild. Incremental cleaning
+//! itself is timed end to end by perfbench's `delta_ingest` workload.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use nvd_bench::BENCH_SEED;
-use nvd_clean::cleaner::{CleanOptions, Cleaner};
-use nvd_clean::names::OracleVerifier;
-use nvd_clean::CleanState;
 use nvd_model::prelude::CveId;
 use nvd_serve::ServeIndex;
 use nvd_synth::delta::generate_delta_stream;
 use nvd_synth::SynthConfig;
 
-/// Stream shape: smaller than the batch-bench scale because every
-/// from-scratch sample re-runs the whole pipeline, and deep enough that
-/// the last delta arrives on a genuinely warm state.
+/// Stream shape: deep enough that the last delta arrives on a genuinely
+/// warm state.
 const INGEST_SCALE: f64 = 0.01;
 const FEED_COUNT: usize = 4;
-
-fn options() -> CleanOptions {
-    // The §4.3 backport is whole-corpus on both paths (its stratified
-    // split is a global function of the label population), so the
-    // incremental-vs-batch axis is measured with it off.
-    CleanOptions {
-        run_backport: false,
-        ..CleanOptions::default()
-    }
-}
-
-fn ingest_delta(c: &mut Criterion) {
-    let stream = generate_delta_stream(
-        &SynthConfig::with_scale(INGEST_SCALE, BENCH_SEED),
-        FEED_COUNT,
-    );
-    let oracle = OracleVerifier::new(stream.corpus.truth.vendor_alias_map());
-    let archive = &stream.corpus.archive;
-    let cleaner = Cleaner::new(options());
-
-    // Warm the state on everything but the last feed.
-    let mut warmed = CleanState::new(options());
-    let base: Vec<_> = stream.base.iter().cloned().collect();
-    warmed.apply_delta(&base, archive, &oracle);
-    let (head, last) = stream.feeds.split_at(FEED_COUNT - 1);
-    for feed in head {
-        warmed.apply_delta(&feed.entries(), archive, &oracle);
-    }
-    let last_entries = last[0].entries();
-
-    // Parity gate: applying the last delta must equal batch-cleaning the
-    // final corpus, entry for entry and report field for report field.
-    let final_db = stream.final_database();
-    let inc = warmed.clone().apply_delta(&last_entries, archive, &oracle);
-    let batch = cleaner.clean(&final_db, archive, &oracle);
-    assert_eq!(
-        inc.database.as_slice(),
-        batch.database.as_slice(),
-        "incremental replay diverged from the batch pipeline"
-    );
-    assert_eq!(
-        format!("{:?}", inc.report),
-        format!("{:?}", batch.report),
-        "incremental report diverged from the batch pipeline"
-    );
-    assert_eq!(
-        inc.ledger, batch.ledger,
-        "incremental quality ledger diverged from the batch pipeline"
-    );
-
-    // 100 samples so the nearest-rank p99 is a real percentile rather than
-    // the max — the tail gate should tolerate one scheduler spike.
-    let mut group = c.benchmark_group("ingest_delta");
-    group.sample_size(100);
-    // The warm-state clone is bench scaffolding (a real ingester applies
-    // in place), so it is set up outside the timed section.
-    group.bench_function("incremental/jobs_1", |b| {
-        b.iter_batched(
-            || warmed.clone(),
-            |mut state| {
-                let out = minipar::with_jobs(1, || {
-                    state.apply_delta(black_box(&last_entries), archive, &oracle)
-                });
-                // Return the consumed state so its (large) drop happens
-                // outside the timed section, like the output's.
-                (state, out)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("from_scratch", |b| {
-        b.iter(|| minipar::with_jobs(1, || cleaner.clean(black_box(&final_db), archive, &oracle)))
-    });
-    group.finish();
-}
 
 fn ingest_serve(c: &mut Criterion) {
     let stream = generate_delta_stream(
@@ -117,7 +37,9 @@ fn ingest_serve(c: &mut Criterion) {
         for entry in entries {
             db.push(entry);
         }
-        state.apply_delta(&db, &touched);
+        state
+            .apply_delta(&db, &touched)
+            .expect("push-grown delta applies");
     }
     let last_entries = last[0].entries();
     let touched: Vec<CveId> = last_entries.iter().map(|e| e.id).collect();
@@ -128,7 +50,9 @@ fn ingest_serve(c: &mut Criterion) {
 
     // Parity gate: the warm update must be digest-identical to a rebuild.
     let mut updated = state.clone();
-    updated.apply_delta(&final_db, &touched);
+    updated
+        .apply_delta(&final_db, &touched)
+        .expect("push-grown delta applies");
     assert_eq!(
         updated.digest(),
         ServeIndex::with_shards(&final_db, ServeIndex::DEFAULT_SHARDS).digest(),
@@ -141,7 +65,8 @@ fn ingest_serve(c: &mut Criterion) {
         b.iter_batched(
             || state.clone(),
             |mut warm| {
-                minipar::with_jobs(1, || warm.apply_delta(black_box(&final_db), &touched));
+                minipar::with_jobs(1, || warm.apply_delta(black_box(&final_db), &touched))
+                    .expect("push-grown delta applies");
                 warm
             },
             BatchSize::LargeInput,
@@ -160,6 +85,6 @@ fn ingest_serve(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = ingest_delta, ingest_serve
+    targets = ingest_serve
 );
 criterion_main!(benches);

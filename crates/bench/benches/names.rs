@@ -1,23 +1,16 @@
 //! §4.2 / §5.4 benches: Table 2 (candidate detection + pattern tabulation,
-//! with the LCS-threshold ablation), Table 3 (cross-database mapping),
-//! Tables 11, 12 and 16, and the blocked-vs-legacy name-sweep comparison.
+//! with the LCS-threshold ablation), Table 3 (cross-database mapping), and
+//! Tables 11, 12 and 16.
 //!
-//! Run with `BENCH_JSON=BENCH_names.json cargo bench -p nvd-bench --bench
-//! names` to emit the machine-readable artifact CI uploads. The
-//! `names_{vendor,product}_sweep` groups answer the PR's two gated
-//! questions: does the blocked engine (interned ids, materialised blocks,
-//! banded Levenshtein) beat the frozen pre-blocking replica at one job,
-//! and what headroom does the minipar fan-out add at four? Candidate
-//! output is asserted bit-identical to the replica and across job counts
-//! before timing starts.
+//! The sweeps' end-to-end cost inside a clean is perfbench's
+//! `names.vendor_sweep_ms` and `names.product_sweep_ms`; their parity with
+//! the pre-blocking serial sweeps is pinned in `tests/determinism.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nvd_analysis::vendor_study;
 use nvd_bench::{bench_corpus, bench_experiments};
-use nvd_clean::names::legacy::{find_product_candidates_legacy, find_vendor_candidates_legacy};
 use nvd_clean::names::{
-    find_product_candidates, find_vendor_candidates, NameMapping, OracleVerifier, PatternBreakdown,
-    Verifier,
+    find_vendor_candidates, NameMapping, OracleVerifier, PatternBreakdown, Verifier,
 };
 
 fn table2_vendor_patterns(c: &mut Criterion) {
@@ -73,72 +66,6 @@ fn table3_name_scale(c: &mut Criterion) {
     });
 }
 
-fn name_sweeps_blocked_vs_legacy(c: &mut Criterion) {
-    let corpus = bench_corpus();
-    let db = &corpus.database;
-
-    // Parity gates before timing: the blocked sweeps must reproduce the
-    // legacy replica's candidate lists byte for byte, at one job and four.
-    let vendor_cands = minipar::with_jobs(1, || find_vendor_candidates(db));
-    assert_eq!(
-        vendor_cands,
-        find_vendor_candidates_legacy(db),
-        "blocked vendor sweep diverged from the legacy replica"
-    );
-    assert_eq!(
-        vendor_cands,
-        minipar::with_jobs(4, || find_vendor_candidates(db)),
-        "vendor sweep diverged across job counts"
-    );
-
-    let oracle = OracleVerifier::new(corpus.truth.vendor_alias_map());
-    let confirmed: Vec<_> = vendor_cands
-        .iter()
-        .filter(|x| oracle.confirm(x))
-        .cloned()
-        .collect();
-    let mapping = NameMapping::build_vendor(&confirmed, db);
-    let product_cands = minipar::with_jobs(1, || find_product_candidates(db, &mapping));
-    assert_eq!(
-        product_cands,
-        find_product_candidates_legacy(db, &mapping),
-        "blocked product sweep diverged from the legacy replica"
-    );
-    assert_eq!(
-        product_cands,
-        minipar::with_jobs(4, || find_product_candidates(db, &mapping)),
-        "product sweep diverged across job counts"
-    );
-
-    let mut group = c.benchmark_group("names_vendor_sweep");
-    group.sample_size(10);
-    for jobs in [1usize, 4] {
-        group.bench_function(format!("new/jobs_{jobs}"), |b| {
-            b.iter(|| minipar::with_jobs(jobs, || find_vendor_candidates(black_box(db))))
-        });
-    }
-    group.bench_function("legacy", |b| {
-        b.iter(|| minipar::with_jobs(1, || find_vendor_candidates_legacy(black_box(db))))
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("names_product_sweep");
-    group.sample_size(10);
-    for jobs in [1usize, 4] {
-        group.bench_function(format!("new/jobs_{jobs}"), |b| {
-            b.iter(|| minipar::with_jobs(jobs, || find_product_candidates(black_box(db), &mapping)))
-        });
-    }
-    group.bench_function("legacy", |b| {
-        b.iter(|| {
-            minipar::with_jobs(1, || {
-                find_product_candidates_legacy(black_box(db), &mapping)
-            })
-        })
-    });
-    group.finish();
-}
-
 fn tables_11_12_16(c: &mut Criterion) {
     let exps = bench_experiments();
     c.bench_function("table11_top_vendors", |b| {
@@ -160,7 +87,6 @@ fn tables_11_12_16(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = table2_vendor_patterns, table3_name_scale,
-        name_sweeps_blocked_vs_legacy, tables_11_12_16
+    targets = table2_vendor_patterns, table3_name_scale, tables_11_12_16
 );
 criterion_main!(benches);

@@ -10,17 +10,14 @@
 //! interned into dense-id [`table::NameTable`]s, blocking passes
 //! materialise candidate groups as sorted id vectors, and pair proposal
 //! plus signal annotation fan out over the `minipar` pool while staying
-//! bit-identical to the pre-blocking serial sweeps (kept verbatim in the
-//! hidden `legacy` module as the test oracle and bench baseline).
+//! bit-identical to the pre-blocking serial sweeps (kept verbatim as the
+//! test oracle in the workspace's integration tests, `tests/determinism.rs`).
 
 pub mod mapping;
 pub mod product;
 pub mod table;
 pub mod vendor;
 pub mod verify;
-
-#[doc(hidden)]
-pub mod legacy;
 
 pub use mapping::{ApplyStats, NameMapping};
 pub use product::{find_product_candidates, ProductCandidate, ProductHeuristic};

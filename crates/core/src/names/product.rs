@@ -15,8 +15,9 @@
 //! ordered id triples, and the per-vendor sweeps fan out over `minipar`,
 //! concatenating in ascending vendor order. Because ids follow name order
 //! and vendors are the outermost sort key, that concatenation reproduces
-//! the historical global sort + dedup byte for byte (`names::legacy` keeps
-//! the old sweep as the oracle that pins this).
+//! the historical global sort + dedup byte for byte (the old sweep
+//! survives as the integration-test oracle that pins this, in
+//! `tests/determinism.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -283,28 +284,6 @@ mod tests {
         let cands = find_product_candidates(&db, &mapping);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].vendor.as_str(), "avg");
-    }
-
-    #[test]
-    fn blocked_sweep_matches_legacy_replica_on_mixed_fixture() {
-        // All three heuristics fire, across several vendors, with a pair
-        // (internet_explorer / internet-explorer) proposed by both token
-        // equivalence and edit distance so the dedup tiebreak is exercised.
-        let db = db_with(&[
-            ("microsoft", "internet_explorer"),
-            ("microsoft", "internet-explorer"),
-            ("microsoft", "ie"),
-            ("nativesolutions", "tbe_banner_engine"),
-            ("nativesolutions", "the_banner_engine"),
-            ("cisco", "ucs-e160dp-m1_firmware"),
-            ("cisco", "ucs-e140dp-m1_firmware"),
-            ("avg", "antivirus"),
-            ("avg", "anti-virus"),
-        ]);
-        let mapping = NameMapping::default();
-        let blocked = find_product_candidates(&db, &mapping);
-        let legacy = crate::names::legacy::find_product_candidates_legacy(&db, &mapping);
-        assert_eq!(blocked, legacy);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! pairs — which reproduces the historical `BTreeSet` ordering exactly,
 //! because ids are assigned in name order), and signal annotation is a
 //! second `par_map` over the deduped proposal list. Output is bit-identical
-//! to the serial sweep at every `NVD_JOBS`; `names::legacy` keeps the
-//! pre-blocking implementation as the oracle that pins this.
+//! to the serial sweep at every `NVD_JOBS`; the pre-blocking
+//! implementation survives as the integration-test oracle that pins this
+//! (`tests/determinism.rs`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -668,30 +669,6 @@ mod tests {
             + t.mp_lcs3.iter().map(|x| x.0).sum::<usize>()
             + t.mp_lcs_short.iter().map(|x| x.0).sum::<usize>();
         assert_eq!(total, cands.len());
-    }
-
-    #[test]
-    fn blocked_sweep_matches_legacy_replica_on_mixed_fixture() {
-        // Every block kind fires at least once: strip-specials variants,
-        // abbreviations, shared products, product-as-vendor, prefixes,
-        // and both edit-distance block flavours.
-        let db = db_with(&[
-            ("avast", "antivirus"),
-            ("avast!", "antivirus"),
-            ("lan_management_system", "lms_client"),
-            ("lms", "lms_client"),
-            ("microsoft", "windows"),
-            ("microsft", "office"),
-            ("windows", "media_player"),
-            ("lynx", "lynx"),
-            ("lynx_project", "browser"),
-            ("nginx", "nginx"),
-            ("igor_sysoev", "nginx"),
-            ("oracle", "database"),
-        ]);
-        let blocked = find_vendor_candidates(&db);
-        let legacy = crate::names::legacy::find_vendor_candidates_legacy(&db);
-        assert_eq!(blocked, legacy);
     }
 
     #[test]

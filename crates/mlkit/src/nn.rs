@@ -735,6 +735,49 @@ mod tests {
         let wide = minipar::with_jobs(4, run);
         assert_eq!(serial.0, wide.0, "losses diverged across job counts");
         assert_eq!(serial.1, wide.1, "predictions diverged across job counts");
+
+        // The §4.3 severity DNN's shape at the ground-truth size of a 2%
+        // corpus: 13 features, 1,024 rows, minibatches of 32.
+        let (x, y) = severity_sized_dataset();
+        let cfg = TrainConfig {
+            epochs: 5,
+            batch_size: 32,
+            seed: 7,
+            ..TrainConfig::default()
+        };
+        let run = || {
+            let mut net = NetworkBuilder::input_1d(13)
+                .dense(16, Activation::Relu)
+                .dense(16, Activation::Relu)
+                .dense(32, Activation::Relu)
+                .dense(32, Activation::Relu)
+                .dense(1, Activation::Sigmoid)
+                .build(7);
+            let losses = net.fit_scalar(&x, &y, &cfg);
+            (losses, net.predict(&x))
+        };
+        let serial = minipar::with_jobs(1, run);
+        let wide = minipar::with_jobs(4, run);
+        assert_eq!(serial.0, wide.0, "severity DNN losses diverged across jobs");
+        assert_eq!(
+            serial.1, wide.1,
+            "severity DNN predictions diverged across jobs"
+        );
+    }
+
+    /// 1,024 rows of 13 features in `[0, 1)` with a nonlinear target.
+    fn severity_sized_dataset() -> (Matrix, Vec<f64>) {
+        let (rows, cols) = (1024, 13);
+        let mut data = Vec::with_capacity(rows * cols);
+        let mut y = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let row: Vec<f64> = (0..cols)
+                .map(|j| ((i * 31 + j * 17) % 97) as f64 / 97.0)
+                .collect();
+            y.push(((3.0 + 4.0 * row[0] + 3.0 * row[3] * row[4] + 2.0 * row[12]) / 10.0).min(1.0));
+            data.extend_from_slice(&row);
+        }
+        (Matrix::from_vec(rows, cols, data), y)
     }
 
     #[test]

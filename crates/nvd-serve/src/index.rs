@@ -59,7 +59,7 @@ const SCORE_AXES: [ScoreAxis; 4] = [
 ];
 
 /// Why one warm update was rejected. Produced by
-/// [`ServeIndexState::try_apply_delta`] *before* any structure is
+/// [`ServeIndexState::apply_delta`] *before* any structure is
 /// touched: an `Err` leaves the state digest-identical to before the
 /// call, so the caller can roll back by simply not committing its
 /// database mutation and replay a corrected delta later.
@@ -295,24 +295,50 @@ impl ServeIndexState {
     /// database (same-id entries replaced, new entries appended — i.e.
     /// `Database::push` semantics) and `touched` lists the delivered ids.
     ///
-    /// Only the structures a touched entry participates in are rewritten:
-    /// its shard slot, the posting lists of names it gained or lost (a name
-    /// gains a key on its first posting and loses it with its last, so the
-    /// keys stay exactly the in-use names), its CWE/severity buckets, and
-    /// its date slot.
+    /// The whole delta is validated before anything is touched: every
+    /// touched id must be present in `db`, and ids new to the index must
+    /// sit at consecutive append positions. On `Err` **nothing was
+    /// mutated** — the state stays digest-identical to before the call,
+    /// never torn mid-update — so the caller can roll back by not
+    /// committing its database mutation and replay a corrected delta
+    /// later; that replay is bit-identical to a fresh build of the
+    /// corrected database (enforced in `tests/faults.rs` at shard counts
+    /// 1/3/16/64).
+    ///
+    /// After validation the commit is infallible and rewrites only the
+    /// structures a touched entry participates in: its shard slot, the
+    /// posting lists of names it gained or lost (a name gains a key on its
+    /// first posting and loses it with its last, so the keys stay exactly
+    /// the in-use names), its CWE/severity buckets, and its date slot.
     /// Untouched postings are not even visited. The update is serial —
     /// deltas are small — so it is trivially bit-identical at any
     /// `NVD_JOBS`; equality with a fresh build is the contract
     /// `tests/determinism.rs` pins digest-for-digest.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a touched id is absent from `db`, or if `db` and the
-    /// state disagree about an existing entry's index (i.e. `db` was not
-    /// grown with push semantics).
-    pub fn apply_delta(&mut self, db: &Database, touched: &[CveId]) {
+    /// [`UpdateError::MissingEntry`] or [`UpdateError::MisplacedEntry`];
+    /// see the variants.
+    pub fn apply_delta(&mut self, db: &Database, touched: &[CveId]) -> Result<(), UpdateError> {
+        let mut entries = Vec::with_capacity(touched.len());
+        let mut fresh = self.ids.len();
+        let mut seen_new: BTreeSet<CveId> = BTreeSet::new();
         for &id in touched {
-            let entry = db.get(&id).expect("touched id present in database");
+            let entry = db.get(&id).ok_or(UpdateError::MissingEntry { id })?;
+            if self.index_of(id).is_none() && seen_new.insert(id) {
+                if db.as_slice().get(fresh).map(|e| e.id) != Some(id) {
+                    return Err(UpdateError::MisplacedEntry {
+                        id,
+                        expected_index: fresh,
+                    });
+                }
+                fresh += 1;
+            }
+            entries.push(entry);
+        }
+
+        for entry in entries {
+            let id = entry.id;
             let new = EntryProjection::of(entry);
             match self.index_of(id) {
                 Some(i) => {
@@ -325,14 +351,9 @@ impl ServeIndexState {
                     self.projections[i as usize] = new;
                 }
                 None => {
+                    // Validated above: the entry sits at the append position.
                     let i = self.ids.len() as u32;
                     self.ids.push(id);
-                    // Entry appended: db.push must have put it at the end.
-                    assert_eq!(
-                        db.as_slice().get(i as usize).map(|e| e.id),
-                        Some(id),
-                        "database was not grown with push semantics"
-                    );
                     let shard =
                         &mut self.id_shards[(hash_cve_id(id) % self.shard_count as u64) as usize];
                     let pos = shard.partition_point(|&j| self.ids[j as usize] < id);
@@ -350,42 +371,6 @@ impl ServeIndexState {
                 }
             }
         }
-    }
-
-    /// The rollback-safe variant of [`Self::apply_delta`]: validates the
-    /// whole delta upfront and only then commits.
-    ///
-    /// The checks mirror exactly the panics `apply_delta` would hit —
-    /// every touched id must be present in `db`, and ids new to the index
-    /// must sit at consecutive append positions (push semantics) — so
-    /// after `Ok(())` the commit is infallible, and on `Err` **nothing
-    /// was mutated**: the state stays digest-identical to before the
-    /// call, never torn mid-update. Replaying a corrected delta after an
-    /// `Err` is bit-identical to a fresh build of the corrected database
-    /// (enforced in `tests/faults.rs` at shard counts 1/3/16/64).
-    ///
-    /// # Errors
-    ///
-    /// [`UpdateError::MissingEntry`] or [`UpdateError::MisplacedEntry`];
-    /// see the variants.
-    pub fn try_apply_delta(&mut self, db: &Database, touched: &[CveId]) -> Result<(), UpdateError> {
-        let mut fresh = self.ids.len();
-        let mut seen_new: BTreeSet<CveId> = BTreeSet::new();
-        for &id in touched {
-            if db.get(&id).is_none() {
-                return Err(UpdateError::MissingEntry { id });
-            }
-            if self.index_of(id).is_none() && seen_new.insert(id) {
-                if db.as_slice().get(fresh).map(|e| e.id) != Some(id) {
-                    return Err(UpdateError::MisplacedEntry {
-                        id,
-                        expected_index: fresh,
-                    });
-                }
-                fresh += 1;
-            }
-        }
-        self.apply_delta(db, touched);
         Ok(())
     }
 

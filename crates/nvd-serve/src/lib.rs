@@ -234,7 +234,9 @@ mod tests {
                 for entry in entries {
                     db.push(entry);
                 }
-                state.apply_delta(&db, &touched);
+                state
+                    .apply_delta(&db, &touched)
+                    .expect("push-grown delta applies");
                 assert_eq!(
                     state.digest(),
                     ServeIndex::with_shards(&db, shards).digest(),
@@ -253,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn try_apply_delta_rejects_without_tearing() {
+    fn apply_delta_rejects_without_tearing() {
         let db0 = corpus_db();
         let mut state = ServeIndex::with_shards(&db0, 8).into_state();
         let before = state.digest();
@@ -261,7 +263,7 @@ mod tests {
         // A touched id the database has never seen.
         let missing: CveId = "CVE-1999-9999999".parse().unwrap();
         assert_eq!(
-            state.try_apply_delta(&db0, &[missing]),
+            state.apply_delta(&db0, &[missing]),
             Err(UpdateError::MissingEntry { id: missing })
         );
         assert_eq!(state.digest(), before, "rejected update tore the state");
@@ -276,7 +278,7 @@ mod tests {
             shuffled.push(e.clone());
         }
         assert_eq!(
-            state.try_apply_delta(&shuffled, &[fresh_entry.id]),
+            state.apply_delta(&shuffled, &[fresh_entry.id]),
             Err(UpdateError::MisplacedEntry {
                 id: fresh_entry.id,
                 expected_index: db0.len(),
@@ -288,7 +290,7 @@ mod tests {
         let mut db = db0.clone();
         db.push(fresh_entry.clone());
         state
-            .try_apply_delta(&db, &[fresh_entry.id])
+            .apply_delta(&db, &[fresh_entry.id])
             .expect("corrected delta applies");
         assert_eq!(state.digest(), ServeIndex::with_shards(&db, 8).digest());
     }
@@ -311,7 +313,9 @@ mod tests {
         modified.cvss_v2 = None;
         modified.cvss_v3 = None;
         db.push(modified);
-        state.apply_delta(&db, &[victim.id]);
+        state
+            .apply_delta(&db, &[victim.id])
+            .expect("redelivered entry applies");
         assert_eq!(state.digest(), ServeIndex::with_shards(&db, 8).digest());
         let warm = state.attach(&db);
         assert_eq!(
@@ -467,7 +471,9 @@ mod tests {
             for entry in entries {
                 db.push(entry);
             }
-            state.apply_delta(&db, &touched);
+            state
+                .apply_delta(&db, &touched)
+                .expect("push-grown delta applies");
         }
         assert!(db.len() > base_len, "the feeds must append new entries");
 

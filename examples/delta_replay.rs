@@ -58,7 +58,9 @@ fn main() {
         for entry in entries {
             raw.push(entry.clone());
         }
-        serve.apply_delta(&raw, &touched);
+        serve
+            .apply_delta(&raw, &touched)
+            .expect("push-grown delta applies");
         let incremental = started.elapsed();
 
         // Batch path over the same accumulated corpus, for comparison and

@@ -1,13 +1,13 @@
 //! Determinism: equal seeds reproduce everything bit-for-bit; different
 //! seeds genuinely differ; the blocked §4.2 name-matching engine is pinned
-//! to the legacy serial sweep by a proptest oracle; and the §4.1 crawl
-//! engine is pinned to a serial fetch-and-extract oracle.
+//! to the legacy serial sweeps (`names_oracle`) on generated corpora, fixed
+//! fixtures and proptest databases; and the §4.1 crawl engine is pinned to
+//! a serial fetch-and-extract oracle.
 
 use std::collections::BTreeMap;
 
 use nvd_clean::cleaner::Cleaner;
 use nvd_clean::disclosure::{AggregationRule, DisclosureEstimate, DisclosureEstimator};
-use nvd_clean::names::legacy::{find_product_candidates_legacy, find_vendor_candidates_legacy};
 use nvd_clean::names::{
     find_product_candidates, find_vendor_candidates, NameMapping, OracleVerifier, Verifier,
 };
@@ -15,6 +15,9 @@ use nvd_model::prelude::{CpeName, CveEntry, CveId, Database, Date};
 use nvd_synth::{generate, SynthConfig};
 use proptest::prelude::*;
 use webarchive::{CrawlerSet, FetchError, WebArchive};
+
+mod names_oracle;
+use names_oracle::{find_product_candidates_legacy, find_vendor_candidates_legacy};
 
 #[test]
 fn same_seed_same_corpus_and_cleaning() {
@@ -169,11 +172,86 @@ fn name_candidates_are_bit_identical_across_job_counts() {
     let wide = run(4);
     assert_eq!(serial.0, wide.0, "vendor candidates diverged");
     assert_eq!(serial.1, wide.1, "product candidates diverged");
-    // And the blocked engine must reproduce the legacy serial sweep.
+    // And the blocked engine must reproduce the legacy serial sweeps,
+    // the product sweep under the same consolidated vendor mapping.
     assert_eq!(
         serial.0,
         find_vendor_candidates_legacy(&corpus.database),
         "vendor candidates diverged from the legacy replica"
+    );
+    let confirmed: Vec<_> = serial
+        .0
+        .iter()
+        .filter(|c| oracle.confirm(c))
+        .cloned()
+        .collect();
+    let mapping = NameMapping::build_vendor(&confirmed, &corpus.database);
+    assert_eq!(
+        serial.1,
+        find_product_candidates_legacy(&corpus.database, &mapping),
+        "product candidates diverged from the legacy replica"
+    );
+}
+
+/// One entry per `(vendor, product)` pair, each a single-CPE CVE.
+fn db_with(cpes: &[(&str, &str)]) -> Database {
+    let mut db = Database::new();
+    for (i, (v, p)) in cpes.iter().enumerate() {
+        let mut e = CveEntry::new(
+            CveId::new(2015, (i + 1) as u32),
+            "2015-01-01".parse().unwrap(),
+        );
+        e.affected.push(CpeName::application(*v, *p));
+        db.push(e);
+    }
+    db
+}
+
+#[test]
+fn blocked_vendor_sweep_matches_legacy_on_mixed_fixture() {
+    // Every block kind fires at least once: strip-specials variants,
+    // abbreviations, shared products, product-as-vendor, prefixes, and
+    // both edit-distance block flavours.
+    let db = db_with(&[
+        ("avast", "antivirus"),
+        ("avast!", "antivirus"),
+        ("lan_management_system", "lms_client"),
+        ("lms", "lms_client"),
+        ("microsoft", "windows"),
+        ("microsft", "office"),
+        ("windows", "media_player"),
+        ("lynx", "lynx"),
+        ("lynx_project", "browser"),
+        ("nginx", "nginx"),
+        ("igor_sysoev", "nginx"),
+        ("oracle", "database"),
+    ]);
+    assert_eq!(
+        find_vendor_candidates(&db),
+        find_vendor_candidates_legacy(&db)
+    );
+}
+
+#[test]
+fn blocked_product_sweep_matches_legacy_on_mixed_fixture() {
+    // All three heuristics fire, across several vendors, with a pair
+    // (internet_explorer / internet-explorer) proposed by both token
+    // equivalence and edit distance so the dedup tiebreak is exercised.
+    let db = db_with(&[
+        ("microsoft", "internet_explorer"),
+        ("microsoft", "internet-explorer"),
+        ("microsoft", "ie"),
+        ("nativesolutions", "tbe_banner_engine"),
+        ("nativesolutions", "the_banner_engine"),
+        ("cisco", "ucs-e160dp-m1_firmware"),
+        ("cisco", "ucs-e140dp-m1_firmware"),
+        ("avg", "antivirus"),
+        ("avg", "anti-virus"),
+    ]);
+    let mapping = NameMapping::default();
+    assert_eq!(
+        find_product_candidates(&db, &mapping),
+        find_product_candidates_legacy(&db, &mapping)
     );
 }
 
@@ -435,7 +513,9 @@ fn warm_serve_updates_match_full_rebuilds_at_any_shard_count() {
                 for entry in entries {
                     db.push(entry);
                 }
-                state.apply_delta(&db, &touched);
+                state
+                    .apply_delta(&db, &touched)
+                    .expect("push-grown delta applies");
                 out.push(state.digest());
             }
             out
@@ -585,7 +665,9 @@ proptest! {
                 for entry in delta {
                     db.push(entry.clone());
                 }
-                state.apply_delta(&db, &touched);
+                state
+                    .apply_delta(&db, &touched)
+                    .expect("push-grown delta applies");
                 let index = state.attach(&db);
                 let scan = LinearScan::new(&db);
                 for query in &queries {

@@ -254,7 +254,7 @@ fn replay_after_rollback_equals_never_having_failed() {
 
 #[test]
 fn serve_rollback_leaves_digest_identical_at_any_shard_count() {
-    // try_apply_delta's contract at every supported shard count: a
+    // apply_delta's rollback contract at every supported shard count: a
     // rejected update leaves the state digest-identical to a fresh build
     // of the pre-delta corpus, and the corrected replay equals a fresh
     // build of the post-delta corpus.
@@ -265,7 +265,7 @@ fn serve_rollback_leaves_digest_identical_at_any_shard_count() {
     for shards in [1usize, 3, 16, 64] {
         let mut state = ServeIndex::with_shards(&db0, shards).into_state();
         assert_eq!(
-            state.try_apply_delta(&db0, &[missing]),
+            state.apply_delta(&db0, &[missing]),
             Err(UpdateError::MissingEntry { id: missing })
         );
         assert_eq!(
@@ -276,7 +276,7 @@ fn serve_rollback_leaves_digest_identical_at_any_shard_count() {
         let mut db = db0.clone();
         db.push(fresh_entry.clone());
         state
-            .try_apply_delta(&db, &[fresh_entry.id])
+            .apply_delta(&db, &[fresh_entry.id])
             .expect("corrected delta applies");
         assert_eq!(
             state.digest(),

@@ -1,21 +1,18 @@
-//! Frozen pre-blocking replicas of the §4.2 candidate sweeps.
+//! Frozen pre-blocking replicas of the §4.2 candidate sweeps: the test
+//! oracle for the blocked engine in `nvd_clean::names`.
 //!
 //! These are behavioural copies of the `BTreeSet`/per-vendor-`BTreeMap`
-//! sweeps this crate shipped before the blocked engine, kept verbatim so
-//! that (a) the proptest oracles can pin pair-set equality on arbitrary
-//! databases, and (b) the CI-gated benches have a faithful serial baseline
-//! the blocked sweep must beat at `NVD_JOBS=1`. Hidden from docs; not part
-//! of the supported API.
+//! sweeps `nvd-clean` shipped before the blocked engine. They share no
+//! code with it beyond the public candidate types and text primitives, so
+//! the equality tests in `determinism.rs` pin the blocked sweeps to the
+//! historical candidate lists however the engine evolves.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use nvd_clean::names::{NameMapping, ProductCandidate, ProductHeuristic, VendorCandidate};
 use nvd_model::prelude::{Database, ProductName, VendorName};
 use textkit::distance::{is_strict_prefix_pair, levenshtein, longest_common_substring_len};
 use textkit::tokenize::{abbreviation, name_components, strip_specials};
-
-use super::mapping::NameMapping;
-use super::product::{ProductCandidate, ProductHeuristic};
-use super::vendor::VendorCandidate;
 
 /// The pre-blocking vendor sweep: proposals accumulate in a
 /// `BTreeSet<(&VendorName, &VendorName)>` and annotation recomputes every
