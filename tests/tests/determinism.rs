@@ -165,7 +165,7 @@ fn name_candidates_are_bit_identical_across_job_counts() {
                 .collect();
             let mapping = NameMapping::build_vendor(&confirmed, &corpus.database);
             let product_cands = find_product_candidates(&corpus.database, &mapping);
-            (vendor_cands, product_cands)
+            (vendor_cands, product_cands, mapping)
         })
     };
     let serial = run(1);
@@ -179,16 +179,9 @@ fn name_candidates_are_bit_identical_across_job_counts() {
         find_vendor_candidates_legacy(&corpus.database),
         "vendor candidates diverged from the legacy replica"
     );
-    let confirmed: Vec<_> = serial
-        .0
-        .iter()
-        .filter(|c| oracle.confirm(c))
-        .cloned()
-        .collect();
-    let mapping = NameMapping::build_vendor(&confirmed, &corpus.database);
     assert_eq!(
         serial.1,
-        find_product_candidates_legacy(&corpus.database, &mapping),
+        find_product_candidates_legacy(&corpus.database, &serial.2),
         "product candidates diverged from the legacy replica"
     );
 }
