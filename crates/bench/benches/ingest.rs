@@ -1,6 +1,7 @@
-//! Warm serve-index update bench: absorbing one dated delta through the
-//! `nvd-serve` [`ServeIndexState`](nvd_serve::ServeIndexState) vs
-//! rebuilding the index over the accumulated corpus.
+//! Warm serve-index update bench: absorbing one dated delta into an owned
+//! `nvd-serve` [`ServeIndex`] (the delta's entries pushed into the index's
+//! database, then the touched structures updated) vs rebuilding the index
+//! over the accumulated corpus.
 //!
 //! Run with `BENCH_JSON=BENCH_ingest.json cargo bench -p nvd-bench --bench
 //! ingest` to emit the artifact CI uploads. The gated question: once the
@@ -11,7 +12,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use nvd_bench::BENCH_SEED;
-use nvd_model::prelude::CveId;
 use nvd_serve::ServeIndex;
 use nvd_synth::delta::generate_delta_stream;
 use nvd_synth::SynthConfig;
@@ -27,35 +27,21 @@ fn ingest_serve(c: &mut Criterion) {
         FEED_COUNT,
     );
 
-    // Warm the serve state on everything but the last feed.
-    let mut db = stream.base.clone();
-    let mut state = ServeIndex::with_shards(&db, ServeIndex::DEFAULT_SHARDS).into_state();
+    // Warm the serve index on everything but the last feed.
+    let mut index = ServeIndex::owned(stream.base.clone(), ServeIndex::DEFAULT_SHARDS);
     let (head, last) = stream.feeds.split_at(FEED_COUNT - 1);
     for feed in head {
-        let entries = feed.entries();
-        let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
-        for entry in entries {
-            db.push(entry);
-        }
-        state
-            .apply_delta(&db, &touched)
-            .expect("push-grown delta applies");
+        index.apply_delta(&feed.entries());
     }
-    let last_entries = last[0].entries();
-    let touched: Vec<CveId> = last_entries.iter().map(|e| e.id).collect();
-    let mut final_db = db.clone();
-    for entry in last_entries {
-        final_db.push(entry);
-    }
+    let delta = last[0].entries();
 
     // Parity gate: the warm update must be digest-identical to a rebuild.
-    let mut updated = state.clone();
-    updated
-        .apply_delta(&final_db, &touched)
-        .expect("push-grown delta applies");
+    let mut updated = index.clone();
+    updated.apply_delta(&delta);
+    let final_db = updated.database();
     assert_eq!(
         updated.digest(),
-        ServeIndex::with_shards(&final_db, ServeIndex::DEFAULT_SHARDS).digest(),
+        ServeIndex::with_shards(final_db, ServeIndex::DEFAULT_SHARDS).digest(),
         "warm serve update diverged from a rebuild"
     );
 
@@ -63,10 +49,9 @@ fn ingest_serve(c: &mut Criterion) {
     group.sample_size(100);
     group.bench_function("apply_delta", |b| {
         b.iter_batched(
-            || state.clone(),
+            || index.clone(),
             |mut warm| {
-                minipar::with_jobs(1, || warm.apply_delta(black_box(&final_db), &touched))
-                    .expect("push-grown delta applies");
+                minipar::with_jobs(1, || warm.apply_delta(black_box(&delta)));
                 warm
             },
             BatchSize::LargeInput,
@@ -75,7 +60,7 @@ fn ingest_serve(c: &mut Criterion) {
     group.bench_function("rebuild", |b| {
         b.iter(|| {
             minipar::with_jobs(1, || {
-                ServeIndex::with_shards(black_box(&final_db), ServeIndex::DEFAULT_SHARDS)
+                ServeIndex::with_shards(black_box(final_db), ServeIndex::DEFAULT_SHARDS)
             })
         })
     });

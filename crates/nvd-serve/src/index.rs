@@ -24,19 +24,19 @@
 //!
 //! # Staying warm under delta feeds
 //!
-//! The index splits into an owned [`ServeIndexState`] and the borrowed
-//! entry view. When a delta arrives, detach the state
-//! ([`ServeIndex::into_state`]), push the delta's entries into the
-//! database, surgically update the touched structures
-//! ([`ServeIndexState::apply_delta`]), and re-attach
-//! ([`ServeIndexState::attach`]). Every structure is a canonical function
-//! of the entry set — a name whose last posting disappears loses its key, a
-//! new name gains one, and every list stays sorted — so the updated state
-//! is **bit-identical** (digest-equal) to a fresh build of the updated
-//! database, which `tests/determinism.rs` enforces.
+//! The index holds its database: borrowed by [`ServeIndex::build`] and
+//! [`ServeIndex::with_shards`], owned by [`ServeIndex::owned`]. When a
+//! delta arrives, [`ServeIndex::apply_delta`] pushes its entries into that
+//! database (`Database::push` semantics) and surgically updates only the
+//! touched structures; a borrowed index copies its database on the first
+//! delta. Every structure is a canonical function of the entry set — a
+//! name whose last posting disappears loses its key, a new name gains
+//! one, and every list stays sorted — so the updated index is
+//! **bit-identical** (digest-equal) to a fresh build of
+//! [`ServeIndex::database`], which `tests/determinism.rs` enforces.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::ops::Range;
 
@@ -50,52 +50,13 @@ use crate::query::{
 };
 
 /// Every score axis, in [`ScoreAxis::code`] order: the row order of
-/// `ServeIndexState::quality_deciles`.
+/// `ServeIndex::quality_deciles`.
 const SCORE_AXES: [ScoreAxis; 4] = [
     ScoreAxis::Completeness,
     ScoreAxis::Consistency,
     ScoreAxis::Accuracy,
     ScoreAxis::Overall,
 ];
-
-/// Why one warm update was rejected. Produced by
-/// [`ServeIndexState::apply_delta`] *before* any structure is
-/// touched: an `Err` leaves the state digest-identical to before the
-/// call, so the caller can roll back by simply not committing its
-/// database mutation and replay a corrected delta later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateError {
-    /// A touched id is absent from the database.
-    MissingEntry {
-        /// The missing id.
-        id: CveId,
-    },
-    /// A touched id is new to the index but its database entry is not at
-    /// the append position — i.e. the database was not grown with
-    /// `Database::push` semantics.
-    MisplacedEntry {
-        /// The misplaced id.
-        id: CveId,
-        /// The database index the entry was expected at.
-        expected_index: usize,
-    },
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingEntry { id } => {
-                write!(f, "serve update: touched id {id} absent from database")
-            }
-            Self::MisplacedEntry { id, expected_index } => write!(
-                f,
-                "serve update: new id {id} not at append position {expected_index}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for UpdateError {}
 
 /// Everything the index derived from one entry — kept so a modified
 /// redelivery can retire its old version's postings without re-reading the
@@ -131,12 +92,20 @@ impl EntryProjection {
     }
 }
 
-/// The owned half of a [`ServeIndex`]: every shard and posting list,
-/// independent of the database's borrow — so it can outlive a database
-/// mutation and absorb deltas in place via [`ServeIndexState::apply_delta`].
+/// A sharded index over one database, holding the database it serves.
+///
+/// [`ServeIndex::build`] and [`ServeIndex::with_shards`] borrow the
+/// database — a batch workload rebuilds after each cleaning pass at no
+/// copy. [`ServeIndex::owned`] takes it by value, for a warm index that
+/// absorbs delta feeds through [`ServeIndex::apply_delta`]. A delta
+/// applied to a borrowed index first copies the database into the index
+/// (see [`ServeIndex::apply_delta`]).
 #[derive(Debug, Clone)]
-pub struct ServeIndexState {
-    /// `ids[i]` is the id of database entry `i`, in insertion order.
+pub struct ServeIndex<'a> {
+    /// The served entries; entry `i` is `db.as_slice()[i]`.
+    db: Cow<'a, Database>,
+    /// `ids[i]` is the id of database entry `i`, in insertion order: the
+    /// compact key column the shard binary searches probe.
     ids: Vec<CveId>,
     shard_count: usize,
     /// Per-shard entry indices, each sorted ascending by CVE id.
@@ -160,38 +129,46 @@ pub struct ServeIndexState {
     dates: Vec<Date>,
     /// Per-entry projections, aligned with `ids`.
     projections: Vec<EntryProjection>,
-    /// Per-CVE quality issues for served entries, attached via
-    /// [`ServeIndexState::set_quality`]; ids absent here serve as
-    /// issue-free (perfect score). Empty until a ledger is attached.
+    /// Per-CVE score and quality issues for served entries, attached via
+    /// [`ServeIndex::set_quality`]; ids absent here serve as issue-free
+    /// (perfect score). Empty until a ledger is attached.
     ///
-    /// Cost model: `set_quality` is the only writer, and it refreshes
+    /// Cost model: `set_quality` is the only writer. It scores each kept
+    /// entry once, so a `QualityLookup` is one map probe, and refreshes
     /// `quality_deciles` alongside, so a `QualityHistogram` query reads
     /// eleven counters instead of walking this map. `LinearScan` keeps
     /// the walk as the oracle.
-    quality: BTreeMap<CveId, Vec<QualityIssue>>,
+    quality: BTreeMap<CveId, (QualityScore, Vec<QualityIssue>)>,
     /// Score-decile counts (buckets 0..=10) of the entries in `quality`,
     /// one row per axis in [`ScoreAxis::code`] order. Derived from
-    /// `quality`, so [`ServeIndexState::digest`] does not fold it in.
+    /// `quality`, so [`ServeIndex::digest`] does not fold it in.
     quality_deciles: [[usize; 11]; 4],
 }
 
-/// A sharded view over one database: the owned [`ServeIndexState`] plus
-/// borrowed entry references for answer materialisation.
-///
-/// The view borrows the database. For batch workloads, rebuild after a
-/// cleaning pass; for delta feeds, round-trip through
-/// [`ServeIndex::into_state`] / [`ServeIndexState::attach`].
-#[derive(Debug)]
-pub struct ServeIndex<'a> {
-    entries: Vec<&'a CveEntry>,
-    state: ServeIndexState,
-}
+impl<'a> ServeIndex<'a> {
+    /// Default shard count: enough to keep per-shard binary searches short
+    /// at paper scale without fragmenting a small corpus.
+    pub const DEFAULT_SHARDS: usize = 16;
 
-impl ServeIndexState {
-    /// Builds the owned state for `db` with `shard_count` id shards.
-    pub fn build(db: &Database, shard_count: usize) -> Self {
+    /// Builds the index over a borrowed database with
+    /// [`Self::DEFAULT_SHARDS`] id shards.
+    pub fn build(db: &'a Database) -> Self {
+        Self::with_shards(db, Self::DEFAULT_SHARDS)
+    }
+
+    /// Builds the index over a borrowed database with an explicit
+    /// id-shard count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count == 0`.
+    pub fn with_shards(db: &'a Database, shard_count: usize) -> Self {
+        Self::new(Cow::Borrowed(db), shard_count)
+    }
+
+    fn new(db: Cow<'a, Database>, shard_count: usize) -> Self {
         assert!(shard_count > 0, "ServeIndex: shard_count must be positive");
-        let entries: Vec<&CveEntry> = db.iter().collect();
+        let entries = db.as_slice();
         let ids: Vec<CveId> = entries.iter().map(|e| e.id).collect();
         let n = entries.len();
 
@@ -206,8 +183,7 @@ impl ServeIndexState {
             sorted
         });
 
-        let projections: Vec<EntryProjection> =
-            minipar::par_map(&entries, |e| EntryProjection::of(e));
+        let projections: Vec<EntryProjection> = minipar::par_map(entries, EntryProjection::of);
 
         // --- postings: pushed in entry order, then sorted by id. -------
         let mut vendor_postings: HashMap<VendorName, Vec<CveId>> = HashMap::new();
@@ -246,6 +222,7 @@ impl ServeIndexState {
             .collect();
 
         Self {
+            db,
             ids,
             shard_count,
             id_shards,
@@ -271,75 +248,61 @@ impl ServeIndexState {
     /// map rebuild, not an index rebuild: after a warm
     /// [`Self::apply_delta`], calling this with the delta's fresh ledger
     /// brings quality answers up to date while every shard and posting
-    /// list stays in place. The refreshed state is digest-identical to a
+    /// list stays in place. The refreshed index is digest-identical to a
     /// fresh build of the same database with the same ledger attached.
     ///
-    /// The per-axis score-decile counts that `QualityHistogram` answers
-    /// from are recounted here, one score per kept entry.
+    /// Each kept entry is scored once here: lookups answer with the
+    /// stored score, and the per-axis score-decile counts that
+    /// `QualityHistogram` answers from are recounted from it.
     pub fn set_quality(&mut self, ledger: &QualityLedger) {
         self.quality = ledger
             .iter()
             .filter(|(id, _)| self.index_of(**id).is_some())
-            .map(|(id, issues)| (*id, issues.to_vec()))
+            .map(|(id, issues)| (*id, (QualityScore::from_issues(issues), issues.to_vec())))
             .collect();
         self.quality_deciles = [[0; 11]; 4];
-        for issues in self.quality.values() {
-            let score = QualityScore::from_issues(issues);
+        for (score, _) in self.quality.values() {
             for axis in SCORE_AXES {
                 self.quality_deciles[axis.code() as usize][score.bucket(axis) as usize] += 1;
             }
         }
     }
 
-    /// Absorbs one delta in place: `db` is the **already-updated**
-    /// database (same-id entries replaced, new entries appended — i.e.
-    /// `Database::push` semantics) and `touched` lists the delivered ids.
-    ///
-    /// The whole delta is validated before anything is touched: every
-    /// touched id must be present in `db`, and ids new to the index must
-    /// sit at consecutive append positions. On `Err` **nothing was
-    /// mutated** — the state stays digest-identical to before the call,
-    /// never torn mid-update — so the caller can roll back by not
-    /// committing its database mutation and replay a corrected delta
-    /// later; that replay is bit-identical to a fresh build of the
-    /// corrected database (enforced in `tests/faults.rs` at shard counts
-    /// 1/3/16/64).
-    ///
-    /// After validation the commit is infallible and rewrites only the
-    /// structures a touched entry participates in: its shard slot, the
-    /// posting lists of names it gained or lost (a name gains a key on its
-    /// first posting and loses it with its last, so the keys stay exactly
-    /// the in-use names), its CWE/severity buckets, and its date slot.
-    /// Untouched postings are not even visited. The update is serial —
-    /// deltas are small — so it is trivially bit-identical at any
-    /// `NVD_JOBS`; equality with a fresh build is the contract
-    /// `tests/determinism.rs` pins digest-for-digest.
-    ///
-    /// # Errors
-    ///
-    /// [`UpdateError::MissingEntry`] or [`UpdateError::MisplacedEntry`];
-    /// see the variants.
-    pub fn apply_delta(&mut self, db: &Database, touched: &[CveId]) -> Result<(), UpdateError> {
-        let mut entries = Vec::with_capacity(touched.len());
-        let mut fresh = self.ids.len();
-        let mut seen_new: BTreeSet<CveId> = BTreeSet::new();
-        for &id in touched {
-            let entry = db.get(&id).ok_or(UpdateError::MissingEntry { id })?;
-            if self.index_of(id).is_none() && seen_new.insert(id) {
-                if db.as_slice().get(fresh).map(|e| e.id) != Some(id) {
-                    return Err(UpdateError::MisplacedEntry {
-                        id,
-                        expected_index: fresh,
-                    });
-                }
-                fresh += 1;
-            }
-            entries.push(entry);
-        }
+    /// Attaches a quality ledger for [`Query::QualityLookup`] /
+    /// [`Query::QualityHistogram`] answers (see [`Self::set_quality`]).
+    pub fn with_quality(mut self, ledger: &QualityLedger) -> Self {
+        self.set_quality(ledger);
+        self
+    }
 
-        for entry in entries {
+    /// Absorbs one delta in place, in delivery order: each entry is pushed
+    /// into the index's database with [`Database::push`] semantics (a
+    /// known id is replaced where it stands, a new id is appended), and
+    /// only the structures it participates in are rewritten.
+    ///
+    /// An id delivered twice in one delta ends up as its last delivery,
+    /// exactly as in the database. On a borrowed index the first delta
+    /// copies the database into the index (copy on write); the caller's
+    /// database is never modified.
+    ///
+    /// The update touches the entry's shard slot, the posting lists of
+    /// names it gained or lost (a name gains a key on its first posting
+    /// and loses it with its last, so the keys stay exactly the in-use
+    /// names), its CWE/severity buckets, and its date slot. Untouched
+    /// postings are not even visited. The update is serial — deltas are
+    /// small — so it is trivially bit-identical at any `NVD_JOBS`; the
+    /// updated index is digest-identical to a fresh build of its
+    /// database, the contract `tests/determinism.rs` pins at shard counts
+    /// 1/3/16/64.
+    ///
+    /// Attached quality is not touched: refresh it with
+    /// [`Self::set_quality`]. Until then appended entries serve as
+    /// issue-free.
+    pub fn apply_delta(&mut self, delta: &[CveEntry]) {
+        for entry in delta {
             let id = entry.id;
             let new = EntryProjection::of(entry);
+            self.db.to_mut().push(entry.clone());
             match self.index_of(id) {
                 Some(i) => {
                     let old = self.projections[i as usize].clone();
@@ -351,7 +314,8 @@ impl ServeIndexState {
                     self.projections[i as usize] = new;
                 }
                 None => {
-                    // Validated above: the entry sits at the append position.
+                    // `Database::push` appended the entry: it sits at the
+                    // next entry index.
                     let i = self.ids.len() as u32;
                     self.ids.push(id);
                     let shard =
@@ -371,26 +335,41 @@ impl ServeIndexState {
                 }
             }
         }
-        Ok(())
     }
 
-    /// Re-attaches the state to its (updated) database as a queryable
-    /// view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `db`'s entries do not line up with the indexed ids —
-    /// i.e. the state was not kept in sync via [`Self::apply_delta`].
-    pub fn attach(self, db: &Database) -> ServeIndex<'_> {
-        let entries: Vec<&CveEntry> = db.iter().collect();
-        assert_eq!(entries.len(), self.ids.len(), "entry count diverged");
-        for (e, &id) in entries.iter().zip(&self.ids) {
-            assert_eq!(e.id, id, "entry order diverged from the indexed ids");
-        }
-        ServeIndex {
-            entries,
-            state: self,
-        }
+    /// The served database.
+    pub fn database(&self) -> &Database {
+        &self.db
+    }
+
+    /// Number of indexed entries.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the index is over an empty database.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Number of id shards.
+    pub fn shard_count(&self) -> usize {
+        self.shard_count
+    }
+
+    /// Number of distinct vendors named by the indexed entries.
+    pub fn vendor_count(&self) -> usize {
+        self.vendor_postings.len()
+    }
+
+    /// Number of distinct products named by the indexed entries.
+    pub fn product_count(&self) -> usize {
+        self.product_postings.len()
+    }
+
+    /// Point lookup: shard hash plus binary search within the shard.
+    pub fn get(&self, id: CveId) -> Option<&CveEntry> {
+        self.index_of(id).map(|i| &self.db.as_slice()[i as usize])
     }
 
     /// Point lookup of an entry index: shard hash plus binary search.
@@ -483,12 +462,13 @@ impl ServeIndexState {
         }
     }
 
-    /// Structural digest over every shard and posting list.
+    /// Structural digest over every shard, posting list and attached
+    /// quality record.
     ///
     /// Two builds of the same database at the same shard count must agree
-    /// exactly — and so must a delta-updated state versus a fresh build of
+    /// exactly — and so must a delta-updated index versus a fresh build of
     /// the updated database. The determinism suite compares `NVD_JOBS`
-    /// 1 vs 4 builds and incremental-vs-rebuilt states through this.
+    /// 1 vs 4 builds and incremental-vs-rebuilt indexes through this.
     pub fn digest(&self) -> u64 {
         let mut h = fnv1a(FNV_OFFSET, &(self.shard_count as u64).to_le_bytes());
         for shard in &self.id_shards {
@@ -509,7 +489,7 @@ impl ServeIndexState {
             h = fold_list(h, list.iter().copied());
         }
         h = fold_list(h, self.date_ids.iter().copied());
-        for (id, issues) in &self.quality {
+        for (id, (_, issues)) in &self.quality {
             h = fnv1a(h, &hash_cve_id(*id).to_le_bytes());
             h = fnv1a(h, &(issues.len() as u64).to_le_bytes());
             for issue in issues {
@@ -606,73 +586,15 @@ fn insert_keyed<K: Ord + Copy>(buckets: &mut Vec<(K, Vec<CveId>)>, key: K, id: C
     }
 }
 
-impl<'a> ServeIndex<'a> {
-    /// Default shard count: enough to keep per-shard binary searches short
-    /// at paper scale without fragmenting a small corpus.
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// Builds the index with [`Self::DEFAULT_SHARDS`] id shards.
-    pub fn build(db: &'a Database) -> Self {
-        Self::with_shards(db, Self::DEFAULT_SHARDS)
-    }
-
-    /// Builds the index with an explicit id-shard count.
+impl ServeIndex<'static> {
+    /// Builds the index over a database it owns — the warm index that
+    /// absorbs delta feeds through [`Self::apply_delta`] without copying.
     ///
     /// # Panics
     ///
     /// Panics if `shard_count == 0`.
-    pub fn with_shards(db: &'a Database, shard_count: usize) -> Self {
-        ServeIndexState::build(db, shard_count).attach(db)
-    }
-
-    /// Detaches the owned state, releasing the database borrow so a delta
-    /// can be pushed and absorbed via [`ServeIndexState::apply_delta`].
-    pub fn into_state(self) -> ServeIndexState {
-        self.state
-    }
-
-    /// Attaches a quality ledger for [`Query::QualityLookup`] /
-    /// [`Query::QualityHistogram`] answers (see
-    /// [`ServeIndexState::set_quality`]).
-    pub fn with_quality(mut self, ledger: &QualityLedger) -> Self {
-        self.state.set_quality(ledger);
-        self
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index is over an empty database.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of id shards.
-    pub fn shard_count(&self) -> usize {
-        self.state.shard_count
-    }
-
-    /// Number of distinct vendors named by the indexed entries.
-    pub fn vendor_count(&self) -> usize {
-        self.state.vendor_postings.len()
-    }
-
-    /// Number of distinct products named by the indexed entries.
-    pub fn product_count(&self) -> usize {
-        self.state.product_postings.len()
-    }
-
-    /// Point lookup: shard hash plus binary search within the shard.
-    pub fn get(&self, id: CveId) -> Option<&'a CveEntry> {
-        self.state.index_of(id).map(|i| self.entries[i as usize])
-    }
-
-    /// Structural digest over every shard and posting list (see
-    /// [`ServeIndexState::digest`]).
-    pub fn digest(&self) -> u64 {
-        self.state.digest()
+    pub fn owned(db: Database, shard_count: usize) -> Self {
+        Self::new(Cow::Owned(db), shard_count)
     }
 }
 
@@ -685,24 +607,22 @@ impl QueryEngine for ServeIndex<'_> {
     fn execute<'db>(&'db self, query: &Query) -> QueryResult<'db> {
         match query {
             Query::PointLookup(id) => QueryResult::Entry(self.get(*id)),
-            Query::VendorWatch(vendor) => watch_answer(self.state.vendor_postings.get(vendor)),
-            Query::ProductWatch(product) => watch_answer(self.state.product_postings.get(product)),
+            Query::VendorWatch(vendor) => watch_answer(self.vendor_postings.get(vendor)),
+            Query::ProductWatch(product) => watch_answer(self.product_postings.get(product)),
             Query::PatchWindow { since, until } => {
-                let window = self.state.window(*since, *until);
-                QueryResult::Ids(Cow::Borrowed(&self.state.date_ids[window]))
+                QueryResult::Ids(Cow::Borrowed(&self.date_ids[self.window(*since, *until)]))
             }
             Query::SeverityHistogram { window } => match window {
                 None => QueryResult::SeverityHistogram(
-                    self.state
-                        .severity_postings
+                    self.severity_postings
                         .iter()
                         .map(|(band, list)| (*band, list.len()))
                         .collect(),
                 ),
                 Some((since, until)) => {
                     let mut counts = [0usize; 5];
-                    for &i in &self.state.date_order[self.state.window(*since, *until)] {
-                        if let Some(band) = effective_severity(self.entries[i as usize]) {
+                    for &i in &self.date_order[self.window(*since, *until)] {
+                        if let Some(band) = self.projections[i as usize].severity {
                             counts[band as usize] += 1;
                         }
                     }
@@ -710,26 +630,23 @@ impl QueryEngine for ServeIndex<'_> {
                 }
             },
             Query::CweHistogram => QueryResult::CweHistogram(
-                self.state
-                    .cwe_postings
+                self.cwe_postings
                     .iter()
                     .map(|(cwe, list)| (*cwe, list.len()))
                     .collect(),
             ),
-            Query::QualityLookup(id) => match self.state.index_of(*id) {
-                None => QueryResult::Quality(None),
-                Some(_) => {
-                    let issues: &[QualityIssue] =
-                        self.state.quality.get(id).map_or(&[], |v| v.as_slice());
-                    QueryResult::Quality(Some((QualityScore::from_issues(issues), issues)))
-                }
-            },
+            Query::QualityLookup(id) => QueryResult::Quality(match self.quality.get(id) {
+                Some((score, issues)) => Some((*score, issues.as_slice())),
+                None => self
+                    .index_of(*id)
+                    .map(|_| (QualityScore::perfect(), &[][..])),
+            }),
             Query::QualityHistogram { axis } => {
                 // The attached entries' deciles were counted by
                 // `set_quality`. Every other entry (including any appended
                 // by a warm `apply_delta` since) is issue-free: perfect.
-                let mut counts = self.state.quality_deciles[axis.code() as usize];
-                counts[10] += self.len() - self.state.quality.len();
+                let mut counts = self.quality_deciles[axis.code() as usize];
+                counts[10] += self.len() - self.quality.len();
                 QueryResult::QualityHistogram(quality_histogram_from_counts(&counts))
             }
         }

@@ -17,21 +17,23 @@
 //! frozen pre-index replica — every query answered by a full database walk,
 //! each id list collected and owned — kept as the parity oracle.
 //!
-//! The index splits into an owned [`ServeIndexState`] plus a borrowed
-//! entry view, so dated delta feeds can be absorbed **warm**: detach the
-//! state, push the delta into the database, update only the touched
-//! shards/postings with [`ServeIndexState::apply_delta`], and re-attach —
-//! the result is digest-identical to a full rebuild.
+//! The index holds the database it serves — borrowed by
+//! [`ServeIndex::build`], owned by [`ServeIndex::owned`] — so dated delta
+//! feeds can be absorbed **warm**: [`ServeIndex::apply_delta`] pushes the
+//! delta's entries into that database and updates only the touched
+//! shards/postings, and the result is digest-identical to a full rebuild
+//! of [`ServeIndex::database`].
 //!
 //! The cleaning pipeline's per-CVE quality ledger is served through the
 //! same API: attach it with [`ServeIndex::with_quality`] (or refresh a
-//! warm state via [`ServeIndexState::set_quality`] after a delta), then
+//! warm index via [`ServeIndex::set_quality`] after a delta), then
 //! ask [`Query::QualityLookup`] for one entry's typed issue record and
 //! score, or [`Query::QualityHistogram`] for corpus score-decile counts
 //! on any axis. Engines without an attached ledger serve every entry as
 //! issue-free, so quality queries stay answerable (and parity-checkable)
-//! everywhere. Cost model: `set_quality` scores each attached entry once
-//! and keeps per-axis score-decile counts, so a histogram query is O(11)
+//! everywhere. Cost model: `set_quality` scores each attached entry once,
+//! stores the score beside its issues and keeps per-axis score-decile
+//! counts, so a lookup is one map probe and a histogram query is O(11)
 //! whatever the corpus size; [`LinearScan`] keeps the full ledger walk as
 //! the oracle the index is checked against.
 //!
@@ -73,7 +75,7 @@ pub mod query;
 pub mod scan;
 pub mod workload;
 
-pub use index::{ServeIndex, ServeIndexState, UpdateError};
+pub use index::ServeIndex;
 pub use nvd_clean::quality::{QualityIssue, QualityLedger, QualityScore, ScoreAxis};
 pub use query::{run_workload, Query, QueryEngine, QueryResult, WorkloadSummary};
 pub use scan::LinearScan;
@@ -81,7 +83,7 @@ pub use workload::{generate_workload, WorkloadProfile};
 
 #[cfg(test)]
 mod tests {
-    use nvd_model::prelude::{CveId, Database, Date};
+    use nvd_model::prelude::{CveEntry, CveId, Database, Date};
     use nvd_synth::{generate, SynthConfig};
 
     use super::*;
@@ -222,84 +224,76 @@ mod tests {
         assert_eq!(serial, wide, "index build diverged across job counts");
     }
 
-    #[test]
-    fn apply_delta_matches_full_rebuild_at_every_feed() {
-        let stream = nvd_synth::delta::generate_delta_stream(&SynthConfig::with_scale(0.004, 7), 3);
-        for shards in [1usize, 3, 16] {
-            let mut db = stream.base.clone();
-            let mut state = ServeIndex::with_shards(&db, shards).into_state();
-            for feed in &stream.feeds {
-                let entries = feed.entries();
-                let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
-                for entry in entries {
-                    db.push(entry);
-                }
-                state
-                    .apply_delta(&db, &touched)
-                    .expect("push-grown delta applies");
-                assert_eq!(
-                    state.digest(),
-                    ServeIndex::with_shards(&db, shards).digest(),
-                    "warm state diverged from rebuild at shard_count={shards}"
-                );
-            }
-            let warm = state.attach(&db);
-            let fresh = ServeIndex::with_shards(&db, shards);
-            let workload = generate_workload(&db, &WorkloadProfile::mixed(1_000), 9);
-            assert_eq!(
-                run_workload(&warm, &workload),
-                run_workload(&fresh, &workload),
-                "warm answers diverged at shard_count={shards}"
-            );
-        }
+    /// A delta that delivers each of two ids twice: one id new to `base`,
+    /// renamed on its second delivery, and one already in it, renamed on
+    /// its first and then redelivered with only an unindexed field changed.
+    fn twice_delivered(base: &Database) -> Vec<CveEntry> {
+        let mut iter = base.iter();
+        let (known, donor) = (iter.next().unwrap(), iter.next().unwrap());
+        assert_ne!(known.affected, donor.affected, "fixture must rename");
+        let renamed = |e: &CveEntry| CveEntry {
+            affected: donor.affected.clone(),
+            ..e.clone()
+        };
+        let mut fresh = known.clone();
+        fresh.id = "CVE-2030-0001".parse().unwrap();
+        let modified = CveEntry {
+            last_modified: Date::from_day_number(known.last_modified.day_number() + 1),
+            ..renamed(known)
+        };
+        vec![fresh.clone(), renamed(known), renamed(&fresh), modified]
     }
 
     #[test]
-    fn apply_delta_rejects_without_tearing() {
-        let db0 = corpus_db();
-        let mut state = ServeIndex::with_shards(&db0, 8).into_state();
-        let before = state.digest();
-
-        // A touched id the database has never seen.
-        let missing: CveId = "CVE-1999-9999999".parse().unwrap();
-        assert_eq!(
-            state.apply_delta(&db0, &[missing]),
-            Err(UpdateError::MissingEntry { id: missing })
-        );
-        assert_eq!(state.digest(), before, "rejected update tore the state");
-
-        // A new entry inserted out of push order: rebuild the database
-        // with the fresh entry first, so it is present but misplaced.
-        let mut fresh_entry = db0.iter().next().unwrap().clone();
-        fresh_entry.id = "CVE-2030-0001".parse().unwrap();
-        let mut shuffled = Database::new();
-        shuffled.push(fresh_entry.clone());
-        for e in db0.iter() {
-            shuffled.push(e.clone());
+    fn apply_delta_matches_full_rebuild_at_every_feed() {
+        let stream = nvd_synth::delta::generate_delta_stream(&SynthConfig::with_scale(0.004, 7), 3);
+        let base = &stream.base;
+        let mut deltas: Vec<Vec<CveEntry>> = stream.feeds.iter().map(|f| f.entries()).collect();
+        deltas.push(twice_delivered(base));
+        for shards in [1usize, 3, 16] {
+            let before = ServeIndex::with_shards(base, shards).digest();
+            // The owned warm index, and a borrowed one whose first delta
+            // copies the database.
+            for mut index in [
+                ServeIndex::owned(base.clone(), shards),
+                ServeIndex::with_shards(base, shards),
+            ] {
+                for delta in &deltas {
+                    index.apply_delta(delta);
+                    assert_eq!(
+                        index.digest(),
+                        ServeIndex::with_shards(index.database(), shards).digest(),
+                        "warm index diverged from rebuild at shard_count={shards}"
+                    );
+                }
+                for entry in &deltas.last().unwrap()[2..] {
+                    assert_eq!(
+                        index.get(entry.id),
+                        Some(entry),
+                        "the last delivery of a twice-delivered id wins"
+                    );
+                }
+                assert_eq!(
+                    ServeIndex::with_shards(base, shards).digest(),
+                    before,
+                    "a delta modified the caller's database"
+                );
+                let fresh = ServeIndex::with_shards(index.database(), shards);
+                let workload =
+                    generate_workload(index.database(), &WorkloadProfile::mixed(1_000), 9);
+                assert_eq!(
+                    run_workload(&index, &workload),
+                    run_workload(&fresh, &workload),
+                    "warm answers diverged at shard_count={shards}"
+                );
+            }
         }
-        assert_eq!(
-            state.apply_delta(&shuffled, &[fresh_entry.id]),
-            Err(UpdateError::MisplacedEntry {
-                id: fresh_entry.id,
-                expected_index: db0.len(),
-            })
-        );
-        assert_eq!(state.digest(), before, "rejected update tore the state");
-
-        // Replaying the corrected delta afterwards equals a fresh build.
-        let mut db = db0.clone();
-        db.push(fresh_entry.clone());
-        state
-            .apply_delta(&db, &[fresh_entry.id])
-            .expect("corrected delta applies");
-        assert_eq!(state.digest(), ServeIndex::with_shards(&db, 8).digest());
     }
 
     #[test]
     fn apply_delta_evicts_and_splices_names() {
         let db0 = corpus_db();
-        let mut db = db0.clone();
-        let mut state = ServeIndex::with_shards(&db, 8).into_state();
+        let mut index = ServeIndex::owned(db0.clone(), 8);
         // Rewrite one entry into another's shape: its old names lose a
         // posting (evicting any singleton name), foreign names gain one
         // (splicing in any new name), its severity bucket and date slot
@@ -312,14 +306,13 @@ mod tests {
         modified.published = donor.published;
         modified.cvss_v2 = None;
         modified.cvss_v3 = None;
-        db.push(modified);
-        state
-            .apply_delta(&db, &[victim.id])
-            .expect("redelivered entry applies");
-        assert_eq!(state.digest(), ServeIndex::with_shards(&db, 8).digest());
-        let warm = state.attach(&db);
+        index.apply_delta(&[modified]);
         assert_eq!(
-            warm.get(victim.id).map(|e| &e.affected),
+            index.digest(),
+            ServeIndex::with_shards(index.database(), 8).digest()
+        );
+        assert_eq!(
+            index.get(victim.id).map(|e| &e.affected),
             Some(&donor.affected)
         );
     }
@@ -415,11 +408,11 @@ mod tests {
         let bare = ServeIndex::build(&db).digest();
         let attached = ServeIndex::build(&db).with_quality(&ledger).digest();
         assert_ne!(bare, attached, "attaching a non-empty ledger must show");
-        // The warm path — set_quality on a detached state — lands on the
+        // The warm path — set_quality on a built index — lands on the
         // same digest as the build-time attach.
-        let mut state = ServeIndex::build(&db).into_state();
-        state.set_quality(&ledger);
-        assert_eq!(state.digest(), attached);
+        let mut index = ServeIndex::build(&db);
+        index.set_quality(&ledger);
+        assert_eq!(index.digest(), attached);
     }
 
     /// A hand-built ledger: every `stride`-th entry of `db` carries one
@@ -459,38 +452,28 @@ mod tests {
             .to_vec()
         }
         let stream = nvd_synth::delta::generate_delta_stream(&SynthConfig::with_scale(0.004, 7), 2);
-        let mut db = stream.base.clone();
-        let l0 = synthetic_ledger(&db, 2);
-        let mut state = ServeIndex::with_shards(&db, 8)
-            .with_quality(&l0)
-            .into_state();
-        let base_len = db.len();
+        let l0 = synthetic_ledger(&stream.base, 2);
+        let mut index = ServeIndex::owned(stream.base.clone(), 8).with_quality(&l0);
         for feed in &stream.feeds {
-            let entries = feed.entries();
-            let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
-            for entry in entries {
-                db.push(entry);
-            }
-            state
-                .apply_delta(&db, &touched)
-                .expect("push-grown delta applies");
+            index.apply_delta(&feed.entries());
         }
-        assert!(db.len() > base_len, "the feeds must append new entries");
+        let db = index.database().clone();
+        assert!(
+            db.len() > stream.base.len(),
+            "the feeds must append new entries"
+        );
 
-        // No re-attach: the appended entries serve as issue-free.
-        let warm = state.attach(&db);
+        // No refresh: the appended entries serve as issue-free.
         assert_eq!(
-            histograms(&warm),
+            histograms(&index),
             histograms(&LinearScan::with_ledger(&db, &l0)),
             "warm histograms diverged before the ledger refresh"
         );
 
         // A refresh replaces the counts; a second one must not add to them.
         let l1 = synthetic_ledger(&db, 3);
-        let mut state = warm.into_state();
-        state.set_quality(&l1);
-        state.set_quality(&l1);
-        let refreshed = state.attach(&db);
+        index.set_quality(&l1);
+        index.set_quality(&l1);
         let scan1 = LinearScan::with_ledger(&db, &l1);
         assert_ne!(
             histograms(&scan1),
@@ -498,7 +481,7 @@ mod tests {
             "the two ledgers must score the corpus differently"
         );
         assert_eq!(
-            histograms(&refreshed),
+            histograms(&index),
             histograms(&scan1),
             "refreshed histograms diverged from the scan"
         );

@@ -1,9 +1,9 @@
 //! Seeded fault plans and corrupt delta feeds, with ground truth.
 //!
 //! The recovery paths grown in this workspace — retrying crawls
-//! ([`webarchive::faults`]), transactional ingestion with quarantine
-//! (`nvd-clean::incremental`), rollback-safe serve updates — are only as
-//! testable as the failures thrown at them. This module generates those
+//! ([`webarchive::faults`]) and transactional ingestion with quarantine
+//! (`nvd-clean::incremental`) — are only as testable as the failures
+//! thrown at them. This module generates those
 //! failures deterministically:
 //!
 //! * [`generate_fault_plan`] samples a per-host [`FaultPlan`] (hard-down

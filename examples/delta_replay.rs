@@ -13,7 +13,7 @@ use nvd_clean::cleaner::{CleanOptions, Cleaner};
 use nvd_clean::names::OracleVerifier;
 use nvd_clean::CleanState;
 use nvd_examples::scale_and_seed;
-use nvd_model::prelude::{CveId, Database};
+use nvd_model::prelude::Database;
 use nvd_serve::ServeIndex;
 use nvd_synth::delta::generate_delta_stream;
 use nvd_synth::SynthConfig;
@@ -40,8 +40,7 @@ fn main() {
     );
 
     let mut state = CleanState::new(options);
-    let mut raw = Database::new();
-    let mut serve = ServeIndex::with_shards(&raw, ServeIndex::DEFAULT_SHARDS).into_state();
+    let mut serve = ServeIndex::owned(Database::new(), ServeIndex::DEFAULT_SHARDS);
 
     let base: Vec<_> = stream.base.iter().cloned().collect();
     let mut deltas = vec![("base".to_owned(), base)];
@@ -54,20 +53,15 @@ fn main() {
         // and the warm serve index.
         let started = Instant::now();
         let inc = state.apply_delta(entries, archive, &oracle);
-        let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
-        for entry in entries {
-            raw.push(entry.clone());
-        }
-        serve
-            .apply_delta(&raw, &touched)
-            .expect("push-grown delta applies");
+        serve.apply_delta(entries);
         let incremental = started.elapsed();
 
         // Batch path over the same accumulated corpus, for comparison and
         // as a live equivalence check.
+        let raw = serve.database();
         let started = Instant::now();
-        let batch = cleaner.clean(&raw, archive, &oracle);
-        let rebuilt = ServeIndex::with_shards(&raw, ServeIndex::DEFAULT_SHARDS);
+        let batch = cleaner.clean(raw, archive, &oracle);
+        let rebuilt = ServeIndex::with_shards(raw, ServeIndex::DEFAULT_SHARDS);
         let from_scratch = started.elapsed();
 
         assert_eq!(
@@ -95,7 +89,7 @@ fn main() {
 
     println!(
         "final corpus {} CVEs, serve digest {:016x} — incremental replay matched batch at every delta.",
-        raw.len(),
+        serve.len(),
         serve.digest()
     );
 }

@@ -488,7 +488,7 @@ fn incremental_ingestion_is_bit_identical_across_job_counts() {
 
 #[test]
 fn warm_serve_updates_match_full_rebuilds_at_any_shard_count() {
-    // Absorbing a delta stream through ServeIndexState::apply_delta must
+    // Absorbing a delta stream through ServeIndex::apply_delta must
     // leave the index digest-identical to a fresh build of each corpus
     // prefix, at every shard count — and the warm update path itself must
     // not care about the job count.
@@ -497,19 +497,11 @@ fn warm_serve_updates_match_full_rebuilds_at_any_shard_count() {
     let stream = generate_delta_stream(&SynthConfig::with_scale(0.004, 99), 3);
     let warm_digests = |jobs: usize, shards: usize| {
         minipar::with_jobs(jobs, || {
-            let mut db = stream.base.clone();
-            let mut state = ServeIndex::with_shards(&db, shards).into_state();
-            let mut out = vec![state.digest()];
+            let mut index = ServeIndex::owned(stream.base.clone(), shards);
+            let mut out = vec![index.digest()];
             for feed in &stream.feeds {
-                let entries = feed.entries();
-                let touched: Vec<CveId> = entries.iter().map(|e| e.id).collect();
-                for entry in entries {
-                    db.push(entry);
-                }
-                state
-                    .apply_delta(&db, &touched)
-                    .expect("push-grown delta applies");
-                out.push(state.digest());
+                index.apply_delta(&feed.entries());
+                out.push(index.digest());
             }
             out
         })
@@ -651,18 +643,11 @@ proptest! {
             queries.push(Query::ProductWatch(cpe.product.clone()));
         }
         for shards in [1usize, 3, 16, 64] {
-            let mut db = Database::new();
-            let mut state = ServeIndex::with_shards(&db, shards).into_state();
+            let mut index = ServeIndex::owned(Database::new(), shards);
             for (i, delta) in steps.iter().enumerate() {
-                let touched: Vec<CveId> = delta.iter().map(|e| e.id).collect();
-                for entry in delta {
-                    db.push(entry.clone());
-                }
-                state
-                    .apply_delta(&db, &touched)
-                    .expect("push-grown delta applies");
-                let index = state.attach(&db);
-                let scan = LinearScan::new(&db);
+                index.apply_delta(delta);
+                let db = index.database();
+                let scan = LinearScan::new(db);
                 for query in &queries {
                     prop_assert_eq!(
                         index.execute(query),
@@ -675,7 +660,6 @@ proptest! {
                 }
                 prop_assert_eq!(index.vendor_count(), db.vendor_set().len());
                 prop_assert_eq!(index.product_count(), db.product_set().len());
-                state = index.into_state();
             }
         }
     }
