@@ -173,7 +173,14 @@ impl<'a> DisclosureEstimator<'a> {
         self.fold_entry(entry, &results)
     }
 
-    /// Estimates every entry of a database.
+    /// Estimates every entry of a database: [`Self::estimate_entries`]
+    /// over all of them, in database order.
+    pub fn estimate_all(&self, db: &Database) -> BTreeMap<CveId, DisclosureEstimate> {
+        let entries: Vec<&CveEntry> = db.iter().collect();
+        self.estimate_entries(&entries)
+    }
+
+    /// Estimates a batch of entries, keyed by CVE id.
     ///
     /// All references of the batch go through the crawl engine as one bulk
     /// request — host interning, per-host memoised liveness/crawler
@@ -182,17 +189,16 @@ impl<'a> DisclosureEstimator<'a> {
     /// id, so each entry folds exactly the contiguous result slice its
     /// references occupy; every aggregation rule is order-independent over
     /// the date multiset, so the map is bit-identical at any thread count.
-    pub fn estimate_all(&self, db: &Database) -> BTreeMap<CveId, DisclosureEstimate> {
-        let entries: Vec<&CveEntry> = db.iter().collect();
+    pub fn estimate_entries(&self, entries: &[&CveEntry]) -> BTreeMap<CveId, DisclosureEstimate> {
         let total_refs: usize = entries.iter().map(|e| e.references.len()).sum();
         let mut urls: Vec<&str> = Vec::with_capacity(total_refs);
-        for e in &entries {
+        for e in entries {
             urls.extend(e.references.iter().map(|r| r.url.as_str()));
         }
         let results = self.engine().crawl_results(&urls);
         let mut items: Vec<(&CveEntry, &[CrawlResult])> = Vec::with_capacity(entries.len());
         let mut offset = 0usize;
-        for e in entries {
+        for &e in entries {
             let next = offset + e.references.len();
             items.push((e, &results[offset..next]));
             offset = next;

@@ -10,10 +10,11 @@
 //! - per-CVE **disclosure estimates** (§4.1) — only touched CVEs are
 //!   re-crawled, sound because per-URL crawl results are batch-invariant
 //!   (pinned in `disclosure::engine_matches_legacy_per_entry`);
-//! - the §4.2 **vendor sweep carry-over** ([`VendorSweepCache`]) — edit
-//!   blocks and pair annotations are reused when their inputs are
-//!   untouched — and the per-vendor **product sweeps**, re-run only for
-//!   vendors whose (consolidated) product set changed;
+//! - the §4.2 **sweep carry-over**: the [`VendorSweepCache`] reuses edit
+//!   blocks and pair annotations whose inputs are untouched, and the
+//!   [`ProductSweepCache`] re-sweeps only vendors whose (consolidated)
+//!   product set changed. Both are the sweeps' own caches — the public
+//!   `find_*_candidates` functions are the same sweeps over fresh ones;
 //! - per-CVE **mined CWE ids** (§4.4) — descriptions are scanned once per
 //!   delivered version, then replayed through the serial apply half.
 //!
@@ -71,16 +72,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use nvd_model::cwe::{CweCatalog, CweId};
 use nvd_model::entry::CveEntry;
 use nvd_model::feed::{item_to_entry, parse_feed_json, FeedDocument, FeedError};
-use nvd_model::prelude::{CveId, Database, ProductName, VendorName};
+use nvd_model::prelude::{CveId, Database, VendorName};
 use webarchive::WebArchive;
 
 use crate::cleaner::{CleanOptions, CleanOutcome, CleanReport, NameReport};
 use crate::cwe_fix::{apply_mined_cwe_ids, mine_entry_cwe_ids, CweFixOutcome};
 use crate::disclosure::{DisclosureEstimate, DisclosureEstimator};
-use crate::names::product::sweep_vendor;
 use crate::names::{
-    find_vendor_candidates_cached, NameMapping, PatternBreakdown, ProductCandidate,
-    ProductHeuristic, VendorSweepCache, Verifier,
+    confirm_product, find_product_candidates_cached, find_vendor_candidates_cached, NameMapping,
+    PatternBreakdown, ProductSweepCache, VendorSweepCache, Verifier,
 };
 use crate::quality::QualityLedger;
 use crate::severity::{backport_v3, can_backport};
@@ -177,26 +177,6 @@ pub struct IngestOutcome {
     pub quarantined: Vec<QuarantineRecord>,
 }
 
-/// One vendor's cached §4.2 product sweep: the consolidated product set it
-/// was computed over, plus the resulting candidates.
-#[derive(Debug, Clone)]
-struct ProductSweepEntry {
-    products: BTreeSet<ProductName>,
-    candidates: Vec<ProductCandidate>,
-}
-
-/// The §4.2 product-pair acceptance rule: token and abbreviation pairs are
-/// reliable; edit-distance pairs need the verifier's scrutiny, which our
-/// stand-ins only provide for vendors — so accept token/abbreviation
-/// unconditionally and edit-distance pairs only when short names make
-/// typos plausible.
-fn confirm_product(c: &ProductCandidate) -> bool {
-    match c.heuristic {
-        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
-        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
-    }
-}
-
 /// Persistent cleaning state for incremental ingestion. See the module
 /// docs for the carried caches and the determinism contract.
 #[derive(Debug, Clone)]
@@ -206,7 +186,7 @@ pub struct CleanState {
     database: Database,
     disclosure: BTreeMap<CveId, DisclosureEstimate>,
     vendor_cache: VendorSweepCache,
-    product_cache: BTreeMap<VendorName, ProductSweepEntry>,
+    product_cache: ProductSweepCache,
     cwe_mined: BTreeMap<CveId, Vec<CweId>>,
     quarantine: QuarantineLedger,
 }
@@ -219,7 +199,7 @@ impl CleanState {
             database: Database::new(),
             disclosure: BTreeMap::new(),
             vendor_cache: VendorSweepCache::default(),
-            product_cache: BTreeMap::new(),
+            product_cache: ProductSweepCache::default(),
             cwe_mined: BTreeMap::new(),
             quarantine: QuarantineLedger::default(),
         }
@@ -269,29 +249,26 @@ impl CleanState {
             self.database.push(entry.clone());
         }
 
-        // §4.1 — disclosure for touched CVEs only. Crawl results are pure
-        // per (archive, crawlers, url) and the estimate folds one entry's
-        // results, so estimating a touched-only sub-database equals the
-        // corresponding slice of a full-corpus estimate.
-        let estimator = DisclosureEstimator::new(archive)
-            .with_crawlers(self.options.crawlers.clone())
-            .with_rule(self.options.aggregation);
-        let touched_db = Database::from_entries(
-            touched
-                .iter()
-                .map(|id| self.database.get(id).expect("just pushed").clone()),
-        );
-        for (id, est) in estimator.estimate_all(&touched_db) {
-            self.disclosure.insert(id, est);
-        }
-
-        // §4.4 mining half — re-scan only touched entries' descriptions
-        // (the names pass below never edits descriptions, so mining the
-        // raw entry equals mining the name-cleaned one).
+        // The touched entries, latest version, in id order: both the §4.1
+        // and the §4.4 mining pass below work on exactly these.
         let touched_entries: Vec<&CveEntry> = touched
             .iter()
             .map(|id| self.database.get(id).expect("just pushed"))
             .collect();
+
+        // §4.1 — disclosure for touched CVEs only. Crawl results are pure
+        // per (archive, crawlers, url) and the estimate folds one entry's
+        // results, so estimating the touched entries equals the
+        // corresponding slice of a full-corpus estimate.
+        let estimator = DisclosureEstimator::new(archive)
+            .with_crawlers(self.options.crawlers.clone())
+            .with_rule(self.options.aggregation);
+        self.disclosure
+            .extend(estimator.estimate_entries(&touched_entries));
+
+        // §4.4 mining half — re-scan only touched entries' descriptions
+        // (the names pass below never edits descriptions, so mining the
+        // raw entry equals mining the name-cleaned one).
         let catalog = CweCatalog::builtin();
         let mined = minipar::par_map(&touched_entries, |e| mine_entry_cwe_ids(e, &catalog));
         for (id, ids) in touched.iter().zip(mined) {
@@ -319,7 +296,8 @@ impl CleanState {
         // §4.2 — product names: rebuild the consolidated vendor → products
         // map (the mapping may have changed), then re-sweep only vendors
         // whose product set did.
-        let product_candidates = self.product_candidates_cached(&mapping);
+        let product_candidates =
+            find_product_candidates_cached(&self.database, &mapping, &mut self.product_cache);
         let product_confirmed: Vec<_> = product_candidates
             .iter()
             .filter(|c| confirm_product(c))
@@ -507,54 +485,6 @@ impl CleanState {
             admitted: admitted.len(),
             quarantined,
         }
-    }
-
-    /// The §4.2 product sweep with per-vendor carry-over: equals
-    /// `find_product_candidates(&self.database, mapping)` bit for bit.
-    fn product_candidates_cached(&mut self, mapping: &NameMapping) -> Vec<ProductCandidate> {
-        let mut products: BTreeMap<VendorName, BTreeSet<ProductName>> = BTreeMap::new();
-        for entry in self.database.iter() {
-            for cpe in &entry.affected {
-                let vendor = mapping.resolve_vendor(&cpe.vendor).clone();
-                products
-                    .entry(vendor)
-                    .or_default()
-                    .insert(cpe.product.clone());
-            }
-        }
-
-        let stale: Vec<(&VendorName, &BTreeSet<ProductName>)> = products
-            .iter()
-            .filter(|(vendor, names)| {
-                self.product_cache
-                    .get(*vendor)
-                    .is_none_or(|e| &e.products != *names)
-            })
-            .collect();
-        let swept = minipar::par_map(&stale, |&(vendor, names)| sweep_vendor(vendor, names));
-        for ((vendor, names), candidates) in stale.into_iter().zip(swept) {
-            self.product_cache.insert(
-                vendor.clone(),
-                ProductSweepEntry {
-                    products: names.clone(),
-                    candidates,
-                },
-            );
-        }
-
-        // Concatenate per vendor in ascending order — the same order
-        // `find_product_candidates`'s parallel flatten produces.
-        products
-            .keys()
-            .flat_map(|vendor| {
-                self.product_cache
-                    .get(vendor)
-                    .expect("swept or cached above")
-                    .candidates
-                    .iter()
-                    .cloned()
-            })
-            .collect()
     }
 }
 

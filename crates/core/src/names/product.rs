@@ -17,7 +17,14 @@
 //! and vendors are the outermost sort key, that concatenation reproduces
 //! the historical global sort + dedup byte for byte (the old sweep
 //! survives as the integration-test oracle that pins this, in
-//! `tests/determinism.rs`).
+//! `tests/tests/names_oracle`).
+//!
+//! A vendor's sweep is pure in its consolidated product set, so there is
+//! one sweep, [`find_product_candidates_cached`]: a [`ProductSweepCache`]
+//! keeps each vendor's candidates and re-sweeps only vendors whose product
+//! set changed. The incremental pipeline carries one cache across deltas;
+//! [`find_product_candidates`] runs the same sweep over a fresh cache.
+//! Which pairs the pipeline then accepts is [`confirm_product`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,6 +59,19 @@ pub struct ProductCandidate {
     pub heuristic: ProductHeuristic,
 }
 
+/// The §4.2 product-pair acceptance rule: token and abbreviation pairs are
+/// reliable; edit-distance pairs need the verifier's scrutiny, which the
+/// pipeline's stand-ins only provide for vendors — so token/abbreviation
+/// pairs are accepted unconditionally and edit-distance pairs only when
+/// both names have at least five characters, where a one-character
+/// difference is plausibly a typo.
+pub fn confirm_product(c: &ProductCandidate) -> bool {
+    match c.heuristic {
+        ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
+        ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
+    }
+}
+
 /// Digit-difference guard for the edit-distance heuristic: names that
 /// differ in a digit are usually genuinely different models/versions
 /// (the paper's cisco firmware example).
@@ -76,13 +96,35 @@ fn differs_only_in_digit(a: &str, b: &str) -> bool {
 const EDIT_SWEEP_CAP: usize = 600;
 
 /// Finds candidate product pairs under each vendor after applying the
-/// vendor mapping.
+/// vendor mapping: [`find_product_candidates_cached`] over a fresh cache.
 ///
 /// Each vendor's sweep is independent, so the per-vendor blocks fan out
 /// over `minipar` and concatenate in ascending vendor order; output is
 /// bit-identical at every `NVD_JOBS` setting.
 pub fn find_product_candidates(db: &Database, mapping: &NameMapping) -> Vec<ProductCandidate> {
-    // Products per consolidated vendor.
+    find_product_candidates_cached(db, mapping, &mut ProductSweepCache::default())
+}
+
+/// Carry-over state for [`find_product_candidates_cached`]: per
+/// consolidated vendor, the product set its sweep ran over and the
+/// candidates that sweep produced. A vendor whose product set is unchanged
+/// reuses its candidates, so a warm sweep is bit-identical to a cold one.
+#[derive(Debug, Clone, Default)]
+pub struct ProductSweepCache {
+    vendors: BTreeMap<VendorName, (BTreeSet<ProductName>, Vec<ProductCandidate>)>,
+}
+
+/// The product sweep with per-vendor carry-over: rebuilds the consolidated
+/// vendor → products map (the mapping may have changed since the cache was
+/// filled), re-sweeps only vendors whose product set differs from the
+/// cached one, and concatenates every vendor's candidates in ascending
+/// vendor order. Output is bit-identical to a cold-cache sweep at every
+/// `NVD_JOBS`.
+pub fn find_product_candidates_cached(
+    db: &Database,
+    mapping: &NameMapping,
+    cache: &mut ProductSweepCache,
+) -> Vec<ProductCandidate> {
     let mut products: BTreeMap<VendorName, BTreeSet<ProductName>> = BTreeMap::new();
     for entry in db.iter() {
         for cpe in &entry.affected {
@@ -94,22 +136,36 @@ pub fn find_product_candidates(db: &Database, mapping: &NameMapping) -> Vec<Prod
         }
     }
 
-    let per_vendor: Vec<(&VendorName, &BTreeSet<ProductName>)> = products.iter().collect();
-    let sweeps = minipar::par_map(&per_vendor, |&(vendor, names)| sweep_vendor(vendor, names));
-    sweeps.into_iter().flatten().collect()
+    let mut vendors: Vec<VendorName> = Vec::with_capacity(products.len());
+    let mut stale: Vec<(VendorName, BTreeSet<ProductName>)> = Vec::new();
+    for (vendor, names) in products {
+        if cache
+            .vendors
+            .get(&vendor)
+            .is_none_or(|(swept, _)| *swept != names)
+        {
+            stale.push((vendor.clone(), names));
+        }
+        vendors.push(vendor);
+    }
+    let swept = minipar::par_map(&stale, |(vendor, names)| sweep_vendor(vendor, names));
+    for ((vendor, names), candidates) in stale.into_iter().zip(swept) {
+        cache.vendors.insert(vendor, (names, candidates));
+    }
+
+    vendors
+        .iter()
+        .flat_map(|vendor| cache.vendors[vendor].1.iter().cloned())
+        .collect()
 }
 
 /// The per-vendor block: interns the vendor's products and runs the three
 /// heuristics over dense ids, returning candidates in `(a, b)` order with
 /// the strongest heuristic kept on duplicates.
 ///
-/// Pure in `(vendor, names)` — the incremental pipeline caches each
-/// vendor's sweep and re-runs it only when that vendor's product set
-/// changed.
-pub(crate) fn sweep_vendor(
-    vendor: &VendorName,
-    names: &BTreeSet<ProductName>,
-) -> Vec<ProductCandidate> {
+/// Pure in `(vendor, names)`, which is what lets [`ProductSweepCache`]
+/// reuse it.
+fn sweep_vendor(vendor: &VendorName, names: &BTreeSet<ProductName>) -> Vec<ProductCandidate> {
     let table = NameTable::from_sorted_iter(names.iter());
     let n = table.len() as u32;
     let mut pairs: Vec<(u32, u32, ProductHeuristic)> = Vec::new();

@@ -20,7 +20,12 @@
 //! second `par_map` over the deduped proposal list. Output is bit-identical
 //! to the serial sweep at every `NVD_JOBS`; the pre-blocking
 //! implementation survives as the integration-test oracle that pins this
-//! (`tests/determinism.rs`).
+//! (`tests/tests/names_oracle`).
+//!
+//! There is one sweep, [`find_vendor_candidates_cached`]: its
+//! [`VendorSweepCache`] lets the incremental pipeline skip per-block and
+//! per-pair work a delta left untouched, and [`find_vendor_candidates`] is
+//! the same sweep over a fresh cache.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -82,9 +87,6 @@ enum Block {
     /// The centre pairs with every other member (abbreviation collisions;
     /// product-as-vendor).
     Star { center: u32, others: Vec<u32> },
-    /// Pairs within edit distance [`EDIT_MAX`] (shared 4-prefix / 4-suffix
-    /// spelling blocks).
-    EditPairs(Vec<u32>),
     /// Forward prefix scan over the ascending id range `[start, end)`: each
     /// start id pairs with every follower it strictly prefixes.
     PrefixScan { start: u32, end: u32 },
@@ -108,7 +110,6 @@ impl Block {
                     }
                 }
             }
-            Block::EditPairs(ids) => edit_pairs_into(table, ids, out),
             Block::PrefixScan { start, end } => {
                 let n = table.len() as u32;
                 for i in *start..*end {
@@ -146,52 +147,15 @@ fn edit_pairs_into(table: &NameTable<'_, VendorName>, ids: &[u32], out: &mut Vec
 /// near-duplicate spelling (edit distance ≤ 2 within a shared-trigram
 /// block). Proposal and signal annotation each fan out over the `minipar`
 /// pool; output is bit-identical at every `NVD_JOBS` setting.
+///
+/// This is [`find_vendor_candidates_cached`] over a fresh cache: a cold
+/// sweep has nothing to reuse, so every vendor counts as clean.
 pub fn find_vendor_candidates(db: &Database) -> Vec<VendorCandidate> {
-    // Every CPE contributes its vendor to `products_by_vendor`, so the
-    // map's key set *is* the vendor universe in sorted order — interning
-    // from it skips the separate `vendor_set` pass the legacy sweep paid
-    // for, and the per-id product sets are just the values in key order.
-    let products_by_vendor = db.products_by_vendor();
-    let table = NameTable::from_sorted_iter(products_by_vendor.keys().copied());
-    let products: Vec<&BTreeSet<&ProductName>> = products_by_vendor.values().collect();
-    // Per-id derived keys, computed once and shared by blocking and
-    // annotation (the legacy sweep recomputed them per pair).
-    let norms: Vec<String> = table
-        .names()
-        .iter()
-        .map(|v| strip_specials(v.as_str()))
-        .collect();
-    let abbrevs: Vec<Option<String>> = table
-        .names()
-        .iter()
-        .map(|v| abbreviation(v.as_str()))
-        .collect();
-
-    let mut blocks = standard_blocks(&table, &products, &norms, &abbrevs);
-    for (_key, group) in edit_groups(&table) {
-        blocks.push(Block::EditPairs(group));
-    }
-
-    // Pair proposal: one task per block, merged in ascending block order.
-    // The id sort afterwards makes the merge order irrelevant to output —
-    // and equal to the legacy BTreeSet iteration order.
-    let per_block = minipar::par_map(&blocks, |b| {
-        let mut out = Vec::new();
-        b.propose(&table, &mut out);
-        out
-    });
-    let mut pairs: Vec<(u32, u32)> = per_block.into_iter().flatten().collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // Signal annotation: pure per pair, fanned over the deduped list.
-    minipar::par_map(&pairs, |&(ia, ib)| {
-        annotate_pair(&table, &products, &norms, &abbrevs, ia, ib)
-    })
+    find_vendor_candidates_cached(db, &mut VendorSweepCache::default(), &BTreeSet::new())
 }
 
-/// Blocking passes 1–5 (everything except the edit-distance blocks, which
-/// the incremental sweep caches separately).
+/// Blocking passes 1–5 (everything except the edit-distance blocks, whose
+/// survivors the sweep cache keeps per block).
 fn standard_blocks(
     table: &NameTable<'_, VendorName>,
     products: &[&BTreeSet<&ProductName>],
@@ -274,8 +238,8 @@ fn standard_blocks(
 /// last-4 blocks for misspellings dropping an early character
 /// (microsoft/microsft share only a 1-prefix with the typo at position 1).
 /// Each cap-filtered group is returned with a cache key (`p`/`s` pass tag
-/// plus the block's character key) so the incremental sweep can reuse
-/// survivors when a block's member names are unchanged.
+/// plus the block's character key) so the sweep cache can reuse survivors
+/// when a block's member names are unchanged.
 fn edit_groups(table: &NameTable<'_, VendorName>) -> Vec<(String, Vec<u32>)> {
     let mut by_prefix4: BTreeMap<String, Vec<u32>> = BTreeMap::new();
     let mut by_suffix4: BTreeMap<String, Vec<u32>> = BTreeMap::new();
@@ -352,9 +316,9 @@ fn annotate_pair(
 ///   function of the two names).
 ///
 /// The cache never influences *which* pairs are proposed or how they are
-/// ordered, only whether their per-pair work is recomputed, so
-/// [`find_vendor_candidates_cached`] is bit-identical to
-/// [`find_vendor_candidates`] on the same database.
+/// ordered, only whether their per-pair work is recomputed, so a warm
+/// [`find_vendor_candidates_cached`] is bit-identical to a cold one
+/// ([`find_vendor_candidates`]) on the same database.
 #[derive(Debug, Clone, Default)]
 pub struct VendorSweepCache {
     edit_blocks: HashMap<String, EditBlockEntry>,
@@ -376,10 +340,10 @@ fn pair_key(a: &str, b: &str) -> String {
     k
 }
 
-/// [`find_vendor_candidates`] with carry-over: recomputes the cheap
-/// near-linear blocking passes, but reuses cached edit-distance survivors
-/// and pair annotations wherever the delta left their inputs untouched.
-/// Output is bit-identical to the uncached sweep at every `NVD_JOBS`.
+/// The vendor sweep with carry-over: recomputes the cheap near-linear
+/// blocking passes, but reuses cached edit-distance survivors and pair
+/// annotations wherever the delta left their inputs untouched. Output is
+/// bit-identical to a cold-cache sweep at every `NVD_JOBS`.
 ///
 /// `dirty` is the invalidation contract: it must contain every vendor
 /// name whose CPE rows may have changed since `cache` was last refreshed

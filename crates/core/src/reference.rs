@@ -1,9 +1,13 @@
 //! Test-only reference pipeline: the §4.1–§4.4 stage sequence composed
-//! straight from the public, uncached stage functions over the whole
-//! corpus. It shares no carry-over state with [`crate::incremental`], so
-//! comparing [`crate::cleaner::Cleaner::clean`] and
-//! [`crate::incremental::CleanState::apply_delta`] against it checks the
-//! caches rather than restating them.
+//! straight from the public stage functions over the whole corpus. The
+//! §4.2 sweeps are the same code [`crate::incremental`] runs, but every
+//! call here starts from a fresh cache, so the reference shares no
+//! carry-over state with a [`crate::incremental::CleanState`]: comparing
+//! [`crate::cleaner::Cleaner::clean`] and
+//! [`crate::incremental::CleanState::apply_delta`] against it checks what
+//! the caches carry across deltas. The sweeps themselves are checked
+//! against an independent oracle, the pre-blocking implementations in the
+//! integration tests (`tests/tests/names_oracle`).
 
 use nvd_model::cwe::CweCatalog;
 use nvd_model::prelude::Database;
@@ -14,13 +18,13 @@ use crate::cwe_fix::rectify_cwe;
 use crate::disclosure::DisclosureEstimator;
 use crate::incremental::QuarantineLedger;
 use crate::names::{
-    find_product_candidates, find_vendor_candidates, NameMapping, PatternBreakdown,
-    ProductHeuristic, Verifier,
+    confirm_product, find_product_candidates, find_vendor_candidates, NameMapping,
+    PatternBreakdown, Verifier,
 };
 use crate::quality::QualityLedger;
 use crate::severity::{backport_v3, can_backport};
 
-/// Cleans `db` from scratch, stage by stage, with no caches.
+/// Cleans `db` from scratch, stage by stage, with no carried caches.
 pub(crate) fn reference_clean<V: Verifier>(
     db: &Database,
     archive: &WebArchive,
@@ -36,8 +40,7 @@ pub(crate) fn reference_clean<V: Verifier>(
         .estimate_all(&cleaned);
 
     // §4.2 — vendor pairs through the verifier, then product pairs under
-    // the consolidated vendors: token and abbreviation pairs always,
-    // edit-distance pairs only between names of at least five characters.
+    // the consolidated vendors through the acceptance rule.
     let vendor_candidates = find_vendor_candidates(&cleaned);
     let flags: Vec<bool> = vendor_candidates
         .iter()
@@ -54,10 +57,7 @@ pub(crate) fn reference_clean<V: Verifier>(
     let product_candidates = find_product_candidates(&cleaned, &mapping);
     let product_confirmed: Vec<_> = product_candidates
         .iter()
-        .filter(|c| match c.heuristic {
-            ProductHeuristic::TokenEquivalent | ProductHeuristic::Abbreviation => true,
-            ProductHeuristic::EditDistance => c.a.as_str().len() >= 5 && c.b.as_str().len() >= 5,
-        })
+        .filter(|c| confirm_product(c))
         .cloned()
         .collect();
     mapping.extend_products(&product_confirmed, &cleaned);

@@ -12,7 +12,7 @@ use mlkit::matrix::Matrix;
 use nvd_model::prelude::{CveEntry, CveId, Database, Severity};
 
 use super::eval::{evaluate, transition_matrix, v3_band_index, EvalReport};
-use super::features::FeatureExtractor;
+use super::features::{FeatureExtractor, FEATURE_DIM};
 use super::models::{ModelKind, SeverityModel, TrainProfile};
 
 /// Fewest ground-truth CVEs (those carrying both CVSS versions)
@@ -114,52 +114,51 @@ pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome 
         ground.len()
     );
 
-    let strata: Vec<usize> = ground
+    let gt_v2: Vec<Severity> = ground
         .iter()
-        .map(|e| v3_band_index(e.severity_v3().expect("filtered")))
+        .map(|e| e.severity_v2().expect("filtered"))
         .collect();
+    let gt_v3: Vec<Severity> = ground
+        .iter()
+        .map(|e| e.severity_v3().expect("filtered"))
+        .collect();
+    let strata: Vec<usize> = gt_v3.iter().map(|&b| v3_band_index(b)).collect();
     let (train_idx, test_idx) =
         stratified_split_indices(&strata, options.test_fraction, options.seed);
 
     // Target encoding must only see training data.
     let extractor = FeatureExtractor::fit(train_idx.iter().map(|&i| ground[i]));
 
-    // Feature extraction is per-CVE and pure; rows land in index order, so
-    // the assembled matrices are identical at any thread count.
-    let assemble = |indices: &[usize]| -> (Dataset, Vec<Severity>) {
-        let extracted = minipar::par_map(indices, |&i| {
-            let e = ground[i];
-            let f = extractor.extract(e).expect("filtered for v2");
-            let y = e.cvss_v3.as_ref().expect("filtered").base_score;
-            (f, y, e.severity_v2().expect("filtered"))
-        });
-        let mut rows = Vec::with_capacity(indices.len() * super::features::FEATURE_DIM);
+    // Feature extraction is per-CVE and pure: every ground-truth row is
+    // extracted once, on the pool, in index order, so the matrices
+    // assembled from it are identical at any thread count.
+    let features = minipar::par_map(&ground, |e| extractor.extract(e).expect("filtered for v2"));
+    let assemble = |indices: &[usize]| -> Dataset {
+        let mut rows = Vec::with_capacity(indices.len() * FEATURE_DIM);
         let mut y = Vec::with_capacity(indices.len());
-        let mut v2_bands = Vec::with_capacity(indices.len());
-        for (f, target, band) in extracted {
-            rows.extend_from_slice(&f);
-            y.push(target);
-            v2_bands.push(band);
+        for &i in indices {
+            rows.extend_from_slice(&features[i]);
+            y.push(ground[i].cvss_v3.as_ref().expect("filtered").base_score);
         }
-        (
-            Dataset::new(
-                Matrix::from_vec(indices.len(), super::features::FEATURE_DIM, rows),
-                y,
-            ),
-            v2_bands,
-        )
+        Dataset::new(Matrix::from_vec(indices.len(), FEATURE_DIM, rows), y)
     };
-    let (train, _) = assemble(&train_idx);
-    let (test, test_v2_bands) = assemble(&test_idx);
+    let pick = |bands: &[Severity], indices: &[usize]| -> Vec<Severity> {
+        indices.iter().map(|&i| bands[i]).collect()
+    };
+    let train = assemble(&train_idx);
+    let test = assemble(&test_idx);
+    let test_v2 = pick(&gt_v2, &test_idx);
 
     // --- train the zoo -----------------------------------------------------
+    // Each model keeps its test-split predictions; the winner's are reused
+    // for Tables 13 and 15 below.
     let mut reports = BTreeMap::new();
-    let mut models: BTreeMap<ModelKind, SeverityModel> = BTreeMap::new();
+    let mut models: BTreeMap<ModelKind, (SeverityModel, Vec<f64>)> = BTreeMap::new();
     for &kind in options.kinds {
         let model = SeverityModel::train(kind, &train.x, &train.y, options.profile, options.seed);
         let pred = model.predict(&test.x);
-        reports.insert(kind, evaluate(&test.y, &pred, &test_v2_bands));
-        models.insert(kind, model);
+        reports.insert(kind, evaluate(&test.y, &pred, &test_v2));
+        models.insert(kind, (model, pred));
     }
 
     // --- select the winner ---------------------------------------------------
@@ -174,7 +173,7 @@ pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome 
             .expect("at least one model")
             .0
     });
-    let winner = &models[&chosen];
+    let (winner, winner_test_pred) = &models[&chosen];
 
     // --- backport the v2-only population ----------------------------------
     // The paper's ≈74K-CVE sweep: extract features per entry on the pool,
@@ -194,12 +193,12 @@ pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome 
                 e.severity_v2().expect("has v2"),
             )
         });
-        let mut rows = Vec::with_capacity(v2_only.len() * super::features::FEATURE_DIM);
+        let mut rows = Vec::with_capacity(v2_only.len() * FEATURE_DIM);
         for (f, band) in &extracted {
             rows.extend_from_slice(f);
             v2_bands.push(*band);
         }
-        let x = Matrix::from_vec(v2_only.len(), super::features::FEATURE_DIM, rows);
+        let x = Matrix::from_vec(v2_only.len(), FEATURE_DIM, rows);
         let scores = winner.predict(&x);
         for (e, &score) in v2_only.iter().zip(&scores) {
             predictions.insert(e.id, score);
@@ -209,49 +208,23 @@ pub fn backport_v3(db: &Database, options: &BackportOptions) -> BackportOutcome 
     let backport_transition = transition_matrix(&v2_bands, &pred_bands);
 
     // --- Table 4: ground-truth transitions ---------------------------------
-    let gt_v2: Vec<Severity> = ground
-        .iter()
-        .map(|e| e.severity_v2().expect("v2"))
-        .collect();
-    let gt_v3: Vec<Severity> = ground
-        .iter()
-        .map(|e| e.severity_v3().expect("v3"))
-        .collect();
     let ground_truth_transition = transition_matrix(&gt_v2, &gt_v3);
 
     // --- Tables 13–15: sanity matrices on the ground truth ------------------
-    // Same shape as the main sweep: parallel extraction, batched predict.
-    let predict_bands = |indices: &[usize]| -> (Vec<Severity>, Vec<Severity>, Vec<Severity>) {
-        let extracted = minipar::par_map(indices, |&i| {
-            let e = ground[i];
-            (
-                extractor.extract(e).expect("has v2"),
-                e.severity_v2().expect("v2"),
-                e.severity_v3().expect("v3"),
-            )
-        });
-        let mut rows = Vec::with_capacity(indices.len() * super::features::FEATURE_DIM);
-        let mut v2b = Vec::with_capacity(indices.len());
-        let mut trueb = Vec::with_capacity(indices.len());
-        for (f, v2, tru) in &extracted {
-            rows.extend_from_slice(f);
-            v2b.push(*v2);
-            trueb.push(*tru);
-        }
-        let x = Matrix::from_vec(indices.len(), super::features::FEATURE_DIM, rows);
-        let predb = winner
-            .predict(&x)
-            .into_iter()
-            .map(Severity::from_v3_score)
-            .collect();
-        (v2b, trueb, predb)
+    // Tables 14 and 15 are the test split: its true bands and the winner's
+    // predictions from the zoo loop. Table 13 counts transitions over the
+    // whole ground truth, so it is the train rows (predicted here) plus
+    // those same test predictions; every model predicts row by row, so a
+    // row's score does not depend on the matrix it is predicted in.
+    let bands = |scores: &[f64]| -> Vec<Severity> {
+        scores.iter().map(|&s| Severity::from_v3_score(s)).collect()
     };
-    let all_idx: Vec<usize> = (0..ground.len()).collect();
-    let (full_v2, _, full_pred) = predict_bands(&all_idx);
+    let test_pred = bands(winner_test_pred);
+    let full_v2 = [pick(&gt_v2, &train_idx), test_v2.clone()].concat();
+    let full_pred = [bands(&winner.predict(&train.x)), test_pred.clone()].concat();
     let full_prediction_transition = transition_matrix(&full_v2, &full_pred);
-    let (t_v2, t_true, t_pred) = predict_bands(&test_idx);
-    let test_ground_truth_transition = transition_matrix(&t_v2, &t_true);
-    let test_prediction_transition = transition_matrix(&t_v2, &t_pred);
+    let test_ground_truth_transition = transition_matrix(&test_v2, &pick(&gt_v3, &test_idx));
+    let test_prediction_transition = transition_matrix(&test_v2, &test_pred);
 
     BackportOutcome {
         reports,

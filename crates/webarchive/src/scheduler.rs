@@ -23,14 +23,8 @@
 //! circuit breaker. Under an empty plan every request is delivered on its
 //! first attempt.
 //!
-//! [`schedule`] computes the completion order without touching page bodies.
-//! When the window cannot bind — at most one request is in flight per host,
-//! so `window >= hosts` makes the cap unreachable — every host is an
-//! independent chain of attempts and the schedule is computed per host
-//! plus one sort, skipping the event loop entirely; batches fanning over
-//! more hosts than the window run the full event-driven simulation. Both
-//! paths produce the identical schedule on their shared domain
-//! (unit-tested).
+//! [`schedule`] computes the completion order without touching page bodies,
+//! as one event-driven simulation over the whole batch.
 //!
 //! [`CrawlEngine::crawl_results`] is the engine's one crawl call: it
 //! replays the batch against the archive with fetch + date extraction run
@@ -156,31 +150,6 @@ pub struct CrawlSchedule<'u> {
     pub request_host: Vec<u32>,
 }
 
-/// Per-host politeness/retry/breaker state of the chain path.
-struct HostState {
-    prev_start: u64,
-    busy_until: u64,
-    dispatched: bool,
-    /// Consecutive failed attempts; carries across requests, reset by any
-    /// success.
-    consec: u32,
-    /// Set when the host was abandoned: every still-queued request
-    /// resolves [`RequestFate::CircuitOpen`] at this tick.
-    abandoned_at: Option<u64>,
-}
-
-impl HostState {
-    fn new() -> Self {
-        Self {
-            prev_start: 0,
-            busy_until: 0,
-            dispatched: false,
-            consec: 0,
-            abandoned_at: None,
-        }
-    }
-}
-
 /// Computes the deterministic completion order for a batch.
 ///
 /// Event-driven simulation: at each virtual tick, every eligible request is
@@ -203,10 +172,8 @@ impl HostState {
 ///
 /// The whole schedule is a pure function of
 /// `(urls, model, window, plan, policy)` — bit-identical at any
-/// `NVD_JOBS`. Batches with `hosts <= window` take a per-host chain fast
-/// path; both paths produce the identical schedule on their shared domain
-/// (unit-tested). Virtual-clock additions saturate, so huge policy ticks
-/// pin a request at `u64::MAX` instead of overflowing.
+/// `NVD_JOBS`. Virtual-clock additions saturate, so huge policy ticks pin
+/// a request at `u64::MAX` instead of overflowing.
 ///
 /// # Panics
 ///
@@ -228,131 +195,7 @@ pub fn schedule<'u>(
     let profiles: Vec<&LatencyProfile> = hosts.iter().map(|h| model.profile(h)).collect();
     let modes: Vec<Option<FaultMode>> = hosts.iter().map(|h| plan.mode(h)).collect();
 
-    let (completions, attempts, fates) = if hosts.len() <= window {
-        schedule_chains(urls, &request_host, &profiles, &modes, plan, policy)
-    } else {
-        schedule_event_loop(urls, &request_host, &profiles, &modes, plan, policy, window)
-    };
-    let makespan = completions.last().map_or(0, |c| c.finished_at);
-    CrawlSchedule {
-        completions,
-        attempts,
-        fates,
-        makespan,
-        hosts,
-        request_host,
-    }
-}
-
-/// The chain fast path: with `window >= hosts` the window never binds, so
-/// each host is an independent serial simulation of its FIFO — attempts,
-/// timeouts, backoffs and breaker state never interact across hosts. A
-/// healthy host reduces to the recurrence
-/// `start = max(prev_start + politeness, prev_finish)`.
-fn schedule_chains(
-    urls: &[&str],
-    request_host: &[u32],
-    profiles: &[&LatencyProfile],
-    modes: &[Option<FaultMode>],
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> (Vec<CrawlCompletion>, Vec<u32>, Vec<RequestFate>) {
-    let host_count = profiles.len();
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); host_count];
-    for (i, &h) in request_host.iter().enumerate() {
-        queues[h as usize].push(i);
-    }
-
-    let n = urls.len();
-    let mut completions = Vec::with_capacity(n);
-    let mut attempts_out = vec![0u32; n];
-    let mut fates = vec![RequestFate::Delivered; n];
-    for h in 0..host_count {
-        let p = profiles[h];
-        let mode = modes[h];
-        let mut st = HostState::new();
-        for &req in &queues[h] {
-            if let Some(t) = st.abandoned_at {
-                fates[req] = RequestFate::CircuitOpen;
-                completions.push(CrawlCompletion {
-                    id: req,
-                    started_at: t,
-                    finished_at: t,
-                });
-                continue;
-            }
-            let url = urls[req];
-            let mut attempt = 0u32;
-            // Earliest-start floor carrying backoff and breaker cooldown.
-            let mut floor = 0u64;
-            loop {
-                attempt += 1;
-                let mut start = if st.dispatched {
-                    st.prev_start
-                        .saturating_add(p.politeness_ticks)
-                        .max(st.busy_until)
-                } else {
-                    0
-                };
-                start = start.max(floor);
-                st.dispatched = true;
-                let fails = mode.is_some_and(|m| plan.attempt_fails(m, url, attempt, start));
-                if !fails {
-                    let finish = start.saturating_add(p.sample(url));
-                    st.prev_start = start;
-                    st.busy_until = finish;
-                    st.consec = 0;
-                    attempts_out[req] = attempt;
-                    completions.push(CrawlCompletion {
-                        id: req,
-                        started_at: start,
-                        finished_at: finish,
-                    });
-                    break;
-                }
-                let finish = start.saturating_add(policy.timeout_ticks);
-                st.prev_start = start;
-                st.busy_until = finish;
-                st.consec += 1;
-                let tripped = policy.breaker_threshold > 0 && st.consec >= policy.breaker_threshold;
-                if attempt >= policy.max_attempts {
-                    attempts_out[req] = attempt;
-                    fates[req] = RequestFate::TimedOut;
-                    completions.push(CrawlCompletion {
-                        id: req,
-                        started_at: start,
-                        finished_at: finish,
-                    });
-                    if tripped {
-                        st.abandoned_at = Some(finish);
-                    }
-                    break;
-                }
-                floor = finish.saturating_add(policy.backoff_ticks(url, attempt));
-                if tripped {
-                    floor = floor.max(finish.saturating_add(policy.breaker_cooldown_ticks));
-                }
-            }
-        }
-    }
-    completions.sort_unstable_by_key(|c| (c.finished_at, c.id));
-    (completions, attempts_out, fates)
-}
-
-/// The general event loop, for batches fanning over more hosts than the
-/// window admits. Failed attempts are re-queued at their host's front
-/// after backoff, and abandoned hosts are drained at the trip tick.
-#[allow(clippy::too_many_arguments)]
-fn schedule_event_loop(
-    urls: &[&str],
-    request_host: &[u32],
-    profiles: &[&LatencyProfile],
-    modes: &[Option<FaultMode>],
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    window: usize,
-) -> (Vec<CrawlCompletion>, Vec<u32>, Vec<RequestFate>) {
-    let host_count = profiles.len();
+    let host_count = hosts.len();
     let n = urls.len();
     let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); host_count];
     for (i, &h) in request_host.iter().enumerate() {
@@ -474,7 +317,15 @@ fn schedule_event_loop(
     }
 
     completions.sort_unstable_by_key(|c| (c.finished_at, c.id));
-    (completions, attempts, fates)
+    let makespan = completions.last().map_or(0, |c| c.finished_at);
+    CrawlSchedule {
+        completions,
+        attempts,
+        fates,
+        makespan,
+        hosts,
+        request_host,
+    }
 }
 
 /// What one scheduled fetch produced. Failure arms carry no payload — the
@@ -779,77 +630,6 @@ mod tests {
         assert_eq!(plan.completions.last().unwrap().id, 0);
     }
 
-    /// Schedules `urls` with `window` == the number of hosts, so the chain
-    /// fast path runs, then reruns the event loop directly and demands the
-    /// identical schedule, attempts and fates.
-    fn assert_chain_equals_event_loop(
-        urls: &[&str],
-        m: &LatencyModel,
-        window: usize,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) {
-        let fast = schedule(urls, m, window, plan, policy);
-        assert_eq!(fast.hosts.len(), window, "the chain path must run");
-        let profiles: Vec<&LatencyProfile> = fast.hosts.iter().map(|h| m.profile(h)).collect();
-        let modes: Vec<Option<FaultMode>> = fast.hosts.iter().map(|h| plan.mode(h)).collect();
-        let looped = schedule_event_loop(
-            urls,
-            &fast.request_host,
-            &profiles,
-            &modes,
-            plan,
-            policy,
-            window,
-        );
-        assert_eq!(fast.completions, looped.0, "fast path diverged");
-        assert_eq!(fast.attempts, looped.1, "attempt counts diverged");
-        assert_eq!(fast.fates, looped.2, "fates diverged");
-    }
-
-    #[test]
-    fn chain_fast_path_equals_event_loop() {
-        // A jittery multi-host batch with nothing failing, scheduled at
-        // window == hosts: the window can't bind, so the chain recurrence
-        // and the full event loop must produce the identical schedule.
-        let urls: Vec<String> = (0..60)
-            .map(|i| format!("https://host{}.example/page/{i}", i % 9))
-            .collect();
-        let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let mut m = LatencyModel::uniform(LatencyProfile::new(1_000, 7_777, 900));
-        m.set("host3.example", LatencyProfile::new(50_000, 0, 10));
-        m.set("host4.example", LatencyProfile::new(10, 3, 40_000));
-        assert_chain_equals_event_loop(&refs, &m, 9, &EMPTY_PLAN, &RetryPolicy::default());
-    }
-
-    #[test]
-    fn fault_chain_fast_path_equals_event_loop() {
-        // The same check under a mixed fault plan.
-        let urls: Vec<String> = (0..48)
-            .map(|i| format!("https://host{}.example/page/{i}", i % 6))
-            .collect();
-        let refs: Vec<&str> = urls.iter().map(String::as_str).collect();
-        let mut m = LatencyModel::uniform(LatencyProfile::new(1_000, 7_777, 900));
-        m.set("host2.example", LatencyProfile::new(50_000, 0, 10));
-        let mut plan = FaultPlan::new(99);
-        plan.set("host0.example", FaultMode::HardDown);
-        plan.set(
-            "host1.example",
-            FaultMode::Outage {
-                from: 0,
-                until: 400_000,
-            },
-        );
-        plan.set("host2.example", FaultMode::Transient { per_mille: 350 });
-        let policy = RetryPolicy {
-            timeout_ticks: 30_000,
-            backoff_base_ticks: 8_000,
-            breaker_cooldown_ticks: 100_000,
-            ..RetryPolicy::default()
-        };
-        assert_chain_equals_event_loop(&refs, &m, 6, &plan, &policy);
-    }
-
     #[test]
     fn hard_down_host_trips_breaker_and_abandons_queue() {
         let urls: Vec<String> = (0..10)
@@ -879,7 +659,7 @@ mod tests {
     fn huge_policy_ticks_saturate_the_virtual_clock() {
         // Backoff doubling from u64::MAX / 4 runs the clock into u64::MAX
         // within five attempts; every later addition must saturate rather
-        // than overflow, on both scheduling paths.
+        // than overflow, whether or not the window binds.
         let policy = RetryPolicy {
             max_attempts: 5,
             backoff_base_ticks: u64::MAX / 4,
@@ -897,18 +677,13 @@ mod tests {
                 && s.attempts.iter().all(|&n| n == 5)
         };
 
-        // Chain path: two requests on one host, window 8.
+        // Two requests on one host, window 8.
         let pair = ["https://down0.example/a", "https://down0.example/b"];
-        let chained = schedule(&pair, &m, 8, &plan, &policy);
-        assert!(timed_out(&chained), "{:?}", chained.fates);
-        assert_eq!(chained.makespan, u64::MAX);
-        let profiles = [m.profile("down0.example")];
-        let modes = [plan.mode("down0.example")];
-        let looped = schedule_event_loop(&pair, &[0, 0], &profiles, &modes, &plan, &policy, 8);
-        assert_eq!(chained.completions, looped.0, "paths diverged");
-        assert_eq!((chained.attempts, chained.fates), (looped.1, looped.2));
+        let serial = schedule(&pair, &m, 8, &plan, &policy);
+        assert!(timed_out(&serial), "{:?}", serial.fates);
+        assert_eq!(serial.makespan, u64::MAX);
 
-        // Event loop: three hosts through a window of two.
+        // Three hosts through a window of two.
         let urls: Vec<String> = (0..6)
             .map(|i| format!("https://down{}.example/p{i}", i % 3))
             .collect();
@@ -916,11 +691,6 @@ mod tests {
         let windowed = schedule(&refs, &m, 2, &plan, &policy);
         assert!(timed_out(&windowed), "{:?}", windowed.fates);
         assert_eq!(windowed.makespan, u64::MAX);
-        let chained = schedule(&refs, &m, 3, &plan, &policy);
-        assert_eq!(
-            (windowed.attempts, windowed.fates),
-            (chained.attempts, chained.fates)
-        );
     }
 
     #[test]
