@@ -9,11 +9,11 @@ the ``(new, baseline)`` id pairs that must satisfy
 default, optionally ``p99_ns`` too for latency-sensitive paths (the warm
 serve update and the recovery gates compare tails, not just bests).
 
-Only layers no perfbench metric times yet keep a gate here: the textkit
-preprocessing and corpus encoding against their in-bench legacy replicas,
-the warm serve-index update against a rebuild, and quarantine-based
-recovery against a re-clean.  A gate retires once a perfbench metric times
-its layer.
+Only layers no perfbench metric times yet keep a gate here, two pairs in
+two artifacts: the warm serve-index update against a rebuild, and
+quarantine-based recovery against a re-clean.  A gate retires once a
+perfbench metric times its layer.  The §4.4 description text pipeline is
+analysis-only (no clean or serve path runs it), so it is not speed-gated.
 
 Best-of-N is compared rather than means: on shared runners a single noisy
 sample inflates a 10-sample mean, while the best observation is stable —
@@ -28,7 +28,7 @@ the gate.  Jobs that only run a slice of the benches (the fault-smoke job
 produces just ``BENCH_faults.json``) pass ``--subset``: only the named
 artifacts are then required, but each is still gated in full.
 
-Usage: python3 ci/bench_gate.py [--subset] BENCH_textkit.json ...
+Usage: python3 ci/bench_gate.py [--subset] BENCH_ingest.json BENCH_faults.json
 """
 
 import json
@@ -38,10 +38,6 @@ import sys
 # Per artifact: (new_id, baseline_id) gated on best_ns, or
 # (new_id, baseline_id, (metric, ...)) to gate several metrics.
 MANIFEST = {
-    "BENCH_textkit.json": [
-        ("textkit_preprocess/new/jobs_1", "textkit_preprocess/legacy"),
-        ("textkit_corpus_encode/new/jobs_1", "textkit_corpus_encode/legacy"),
-    ],
     "BENCH_ingest.json": [
         # The warm serve-index update must beat a rebuild on the best
         # observation AND at the p99 tail.

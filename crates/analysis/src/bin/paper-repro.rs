@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use nvd_analysis::{
-    disclosure_study, model_study, pca_study, quality_study, severity_study, types_study,
+    disclosure_study, model_study, pca_study, quality_study, severity_study, typeclf, types_study,
     vendor_study, Experiments,
 };
 use nvd_clean::severity::TrainProfile;
@@ -393,9 +393,9 @@ fn sections<'a>(exps: &'a Experiments) -> Vec<Section<'a>> {
     out.push((
         "§4.4 — description k-NN type classifier (paper: 65.60% over 151 classes)".into(),
         Box::new(move || {
-            nvd_clean::train_type_classifier(
+            typeclf::train_type_classifier(
                 &exps.cleaned,
-                &nvd_clean::TypeClassifierOptions::default(),
+                &typeclf::TypeClassifierOptions::default(),
             )
             .map(|(_, report)| {
                 format!(

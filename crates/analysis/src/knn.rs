@@ -3,7 +3,8 @@
 //!
 //! §4.4 of the paper classifies 512-d description embeddings into CWE types
 //! and finds "k-NN (k = 1) provides the best results, predicting 151
-//! different types with 65.60% accuracy".
+//! different types with 65.60% accuracy". [`crate::typeclf`] is its only
+//! user.
 //!
 //! The distance sweep is one Gram product per query chunk:
 //! `‖q − t‖² = ‖q‖² − 2·q·t + ‖t‖²`, with `q·t` computed by the blocked
@@ -13,7 +14,7 @@
 //! yields a distance of exactly `0.0` and results are bit-identical at any
 //! `NVD_JOBS` setting.
 
-use crate::matrix::{dot, Matrix};
+use mlkit::matrix::{dot, Matrix};
 
 /// Query rows per Gram-product chunk: bounds the `chunk × train` distance
 /// buffer while keeping the matmul large enough to amortise. Chunking never

@@ -12,6 +12,10 @@
 //! * [`model_study`] — Tables 4–7 and 13–15 (severity models);
 //! * [`severity_study`] — Table 9 and Fig. 3 (distributions);
 //! * [`types_study`] — Table 10 (top types by severity);
+//! * [`typeclf`] — the §4.4 description → CWE k-NN classifier (on the
+//!   brute-force [`knn`] sweep) the paper judged too unreliable to deploy;
+//!   it never rectifies data, so the cleaning crate does not carry it or
+//!   the `textkit` NLP stack it embeds descriptions with;
 //! * [`vendor_study`] — Tables 3, 11, 12, 16 (names);
 //! * [`pca_study`] — Fig. 5 (feature-space structure);
 //! * [`quality_study`] — the typed quality ledger (issue counts, corpus
@@ -35,11 +39,13 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod disclosure_study;
+pub mod knn;
 pub mod model_study;
 pub mod pca_study;
 pub mod quality_study;
 pub mod render;
 pub mod severity_study;
+pub mod typeclf;
 pub mod types_study;
 pub mod vendor_study;
 

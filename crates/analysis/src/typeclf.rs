@@ -8,16 +8,18 @@
 //! k-NN / CNN / DNN classifiers — "k-NN (k = 1) provides the best results,
 //! predicting 151 different types with 65.60% accuracy", which the paper
 //! deems too unreliable to deploy. This module reproduces that experiment
-//! with `textkit`'s encoder substitute.
+//! with `textkit`'s encoder substitute. It never rectifies data, so it
+//! lives with the analyses rather than in the cleaning crate.
 
 use std::collections::BTreeMap;
 
 use mlkit::data::stratified_split_indices;
-use mlkit::knn::KnnClassifier;
 use mlkit::matrix::Matrix;
 use nvd_model::cwe::CweId;
 use nvd_model::prelude::{CveEntry, Database};
 use textkit::encoder::{Idf, PreprocessedCorpus, SentenceEncoder};
+
+use crate::knn::KnnClassifier;
 
 /// Options for [`train_type_classifier`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,11 +1,11 @@
 //! Substrate throughput: CVSS scoring (Table 1 banding), text encoding,
-//! string distances, and PCA (the machinery under Fig. 5).
+//! the §4.2 string distances, and PCA (the machinery under Fig. 5).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mlkit::matrix::Matrix;
 use mlkit::pca::Pca;
+use nvd_clean::names::text::{levenshtein_at_most, longest_common_substring_len};
 use nvd_model::metrics::Severity;
-use textkit::distance::{levenshtein, longest_common_substring_len};
 use textkit::encoder::SentenceEncoder;
 use textkit::preprocess::preprocess;
 
@@ -56,11 +56,13 @@ fn bench_text(c: &mut Criterion) {
     c.bench_function("preprocess_description", |b| {
         b.iter(|| preprocess(black_box(desc)))
     });
-    c.bench_function("levenshtein_vendor_pair", |b| {
+    // The vendor sweep's edit-distance budget.
+    c.bench_function("levenshtein_at_most_2_vendor_pair", |b| {
         b.iter(|| {
-            levenshtein(
+            levenshtein_at_most(
                 black_box("schneider_electric"),
                 black_box("chneider_electric"),
+                2,
             )
         })
     });

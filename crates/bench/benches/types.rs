@@ -3,9 +3,10 @@
 //! Fig. 5.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use nvd_analysis::typeclf::{train_type_classifier, TypeClassifierOptions};
 use nvd_analysis::{pca_study, types_study};
 use nvd_bench::{bench_corpus, bench_experiments};
-use nvd_clean::{rectify_cwe, train_type_classifier, TypeClassifierOptions};
+use nvd_clean::rectify_cwe;
 use nvd_model::cwe::CweCatalog;
 use nvd_model::prelude::Severity;
 

@@ -12,7 +12,7 @@
 //! | 4.1 | publication date ≠ public disclosure date | crawl reference URLs, take the earliest extracted date | [`disclosure`] |
 //! | 4.2 | inconsistent vendor/product names | heuristics + verification + canonical remapping | [`names`] |
 //! | 4.3 | two thirds of CVEs lack CVSS v3 | learn v3 from v2 features + CWE (LR/SVR/CNN/DNN) | [`severity`] |
-//! | 4.4 | degenerate CWE labels | mine `CWE-\d+` from descriptions; k-NN description classifier | [`cwe_fix`], [`typeclf`] |
+//! | 4.4 | degenerate CWE labels | mine `CWE-\d+` from descriptions | [`cwe_fix`] |
 //!
 //! [`cleaner`] chains all four into a pipeline producing a
 //! [`cleaner::CleanOutcome`]: the rectified database, a
@@ -50,7 +50,6 @@ pub mod quality;
 #[cfg(test)]
 mod reference;
 pub mod severity;
-pub mod typeclf;
 
 pub use cleaner::{CleanOptions, CleanOutcome, CleanReport, Cleaner, NameReport};
 pub use cwe_fix::{extract_cwe_ids, rectify_cwe, CweFixOutcome, CweFixStats};
@@ -64,4 +63,3 @@ pub use quality::{
     QualityStage, Resolution, ScoreAxis,
 };
 pub use severity::{backport_v3, BackportOptions, BackportOutcome, ModelKind, TrainProfile};
-pub use typeclf::{train_type_classifier, TypeClassifier, TypeClassifierOptions};

@@ -16,11 +16,15 @@
 //! Each sweep exists once, with a carry-over cache the incremental
 //! pipeline keeps across deltas ([`VendorSweepCache`],
 //! [`ProductSweepCache`]); [`find_vendor_candidates`] and
-//! [`find_product_candidates`] run it over a fresh cache.
+//! [`find_product_candidates`] run it over a fresh cache. The string
+//! helpers both sweeps call (banded edit distance, longest common
+//! substring, prefix test, name components and abbreviations) are in
+//! [`text`].
 
 pub mod mapping;
 pub mod product;
 pub mod table;
+pub mod text;
 pub mod vendor;
 pub mod verify;
 

@@ -29,11 +29,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use nvd_model::prelude::{Database, ProductName, VendorName};
-use textkit::distance::levenshtein_at_most;
-use textkit::tokenize::{abbreviation, name_components};
 
 use super::mapping::NameMapping;
 use super::table::NameTable;
+use super::text::{abbreviation, levenshtein_at_most, name_components};
 
 /// Which heuristic proposed a product pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,6 +108,8 @@ pub fn find_product_candidates(db: &Database, mapping: &NameMapping) -> Vec<Prod
 /// consolidated vendor, the product set its sweep ran over and the
 /// candidates that sweep produced. A vendor whose product set is unchanged
 /// reuses its candidates, so a warm sweep is bit-identical to a cold one.
+/// Each sweep evicts the vendors that left the consolidated universe, so
+/// the cache holds exactly the last sweep's vendors.
 #[derive(Debug, Clone, Default)]
 pub struct ProductSweepCache {
     vendors: BTreeMap<VendorName, (BTreeSet<ProductName>, Vec<ProductCandidate>)>,
@@ -119,7 +120,7 @@ pub struct ProductSweepCache {
 /// filled), re-sweeps only vendors whose product set differs from the
 /// cached one, and concatenates every vendor's candidates in ascending
 /// vendor order. Output is bit-identical to a cold-cache sweep at every
-/// `NVD_JOBS`.
+/// `NVD_JOBS`. Vendors absent from this sweep's universe leave the cache.
 pub fn find_product_candidates_cached(
     db: &Database,
     mapping: &NameMapping,
@@ -152,6 +153,10 @@ pub fn find_product_candidates_cached(
     for ((vendor, names), candidates) in stale.into_iter().zip(swept) {
         cache.vendors.insert(vendor, (names, candidates));
     }
+    // `vendors` ascends (it was drained from a `BTreeMap`).
+    cache
+        .vendors
+        .retain(|vendor, _| vendors.binary_search(vendor).is_ok());
 
     vendors
         .iter()
@@ -340,6 +345,25 @@ mod tests {
         let cands = find_product_candidates(&db, &mapping);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].vendor.as_str(), "avg");
+    }
+
+    #[test]
+    fn cache_evicts_vendors_that_leave_the_universe() {
+        // One vendor, swept under its own name, then remapped to a
+        // canonical name: the universe is still one vendor, so the cache
+        // must hold exactly one.
+        let db = db_with(&[("avg_technologies", "antivirus")]);
+        let mut cache = ProductSweepCache::default();
+        find_product_candidates_cached(&db, &NameMapping::default(), &mut cache);
+        assert_eq!(cache.vendors.len(), 1);
+        let mut mapping = NameMapping::default();
+        mapping
+            .vendor
+            .insert(VendorName::new("avg_technologies"), VendorName::new("avg"));
+        let warm = find_product_candidates_cached(&db, &mapping, &mut cache);
+        assert_eq!(warm, find_product_candidates(&db, &mapping));
+        let cached: Vec<&str> = cache.vendors.keys().map(VendorName::as_str).collect();
+        assert_eq!(cached, ["avg"]);
     }
 
     #[test]

@@ -1,61 +1,28 @@
-//! String similarity primitives used by the name-consolidation heuristics.
+//! The string helpers the §4.2 name sweeps call.
 //!
-//! The paper's §4.2 vendor heuristics key on the **longest common substring**
+//! The paper's vendor heuristics key on the **longest common substring**
 //! (`|LCS| ≥ 3` versus `< 3` splits Table 2's columns) and on **prefix**
-//! relations; its product heuristics use **edit distance** to catch character
-//! replacement/addition/swap typos (e.g. `tbe_banner_engine` vs
-//! `the_banner_engine`, edit distance 1).
-
-/// Levenshtein edit distance between two strings, counting insertions,
-/// deletions, and substitutions (each cost 1).
-///
-/// Operates on `char`s, so multi-byte text is measured in characters rather
-/// than bytes.
-///
-/// ```
-/// use textkit::distance::levenshtein;
-/// assert_eq!(levenshtein("tbe_banner_engine", "the_banner_engine"), 1);
-/// assert_eq!(levenshtein("microsoft", "microsft"), 1);
-/// assert_eq!(levenshtein("", "abc"), 3);
-/// ```
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Single-row dynamic programming; `prev` holds D[i-1][j-1].
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut prev = row[0];
-        row[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = if ca == cb { 0 } else { 1 };
-            let next = (prev + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            prev = row[j + 1];
-            row[j + 1] = next;
-        }
-    }
-    row[b.len()]
-}
+//! relations; its product heuristics use **edit distance** to catch
+//! character replacement/addition/swap typos (e.g. `tbe_banner_engine` vs
+//! `the_banner_engine`, edit distance 1), and compare names by their
+//! separator-free components and abbreviations.
+//!
+//! Every helper works on `char`s, with a byte fast path where both inputs
+//! are ASCII, so multi-byte names are measured in characters.
 
 /// Banded Levenshtein with early exit: `Some(distance)` when the edit
-/// distance is at most `k`, `None` otherwise.
+/// distance (insertions, deletions and substitutions, each cost 1) is at
+/// most `k`, `None` otherwise.
 ///
 /// Only the `2k + 1`-wide diagonal band of the DP table is computed, and
 /// the scan stops as soon as every cell in the current band row exceeds
 /// `k` — so near-miss pairs exit after a couple of rows instead of filling
 /// the full table. The §4.2 edit-distance blocks call this with
 /// `k ∈ {1, 2}`, where the band collapses to three or five cells per row.
-/// Agrees exactly with [`levenshtein`]:
-/// `levenshtein_at_most(a, b, k) == Some(d)` iff
-/// `levenshtein(a, b) == d && d <= k`.
+/// The integration tests check it against a full-table Levenshtein.
 ///
 /// ```
-/// use textkit::distance::levenshtein_at_most;
+/// use nvd_clean::names::text::levenshtein_at_most;
 /// assert_eq!(levenshtein_at_most("tbe_banner_engine", "the_banner_engine", 1), Some(1));
 /// assert_eq!(levenshtein_at_most("microsoft", "microsft", 2), Some(1));
 /// assert_eq!(levenshtein_at_most("kitten", "sitting", 2), None);
@@ -139,45 +106,32 @@ fn banded_distance_in<T: PartialEq + Copy>(
 /// pairs with `|LCS| ≥ 3` are far more likely to be genuinely matching.
 ///
 /// ```
-/// use textkit::distance::longest_common_substring_len;
+/// use nvd_clean::names::text::longest_common_substring_len;
 /// assert_eq!(longest_common_substring_len("lynx", "lynx_project"), 4);
 /// assert_eq!(longest_common_substring_len("abc", "xyz"), 0);
 /// ```
 pub fn longest_common_substring_len(a: &str, b: &str) -> usize {
-    longest_common_substring(a, b).chars().count()
-}
-
-/// The longest common substring itself (first one found on ties).
-///
-/// ```
-/// use textkit::distance::longest_common_substring;
-/// assert_eq!(longest_common_substring("bea", "bea_systems"), "bea");
-/// ```
-pub fn longest_common_substring(a: &str, b: &str) -> String {
+    if a.is_ascii() && b.is_ascii() {
+        return common_run_len(a.as_bytes(), b.as_bytes());
+    }
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return String::new();
-    }
-    // row[j] = length of common suffix of a[..i+1] and b[..j+1].
+    common_run_len(&a, &b)
+}
+
+/// The DP core of [`longest_common_substring_len`]: `row[j]` holds the
+/// length of the common suffix of `a[..=i]` and `b[..j]`.
+fn common_run_len<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     let mut row = vec![0usize; b.len() + 1];
-    let mut best_len = 0;
-    let mut best_end = 0; // exclusive end in `a`
-    for (i, &ca) in a.iter().enumerate() {
+    let mut best = 0;
+    for ca in a {
         // Iterate j downwards so row[j] still holds the previous row's value.
         for j in (0..b.len()).rev() {
-            if ca == b[j] {
-                row[j + 1] = row[j] + 1;
-                if row[j + 1] > best_len {
-                    best_len = row[j + 1];
-                    best_end = i + 1;
-                }
-            } else {
-                row[j + 1] = 0;
-            }
+            row[j + 1] = if *ca == b[j] { row[j] + 1 } else { 0 };
+            best = best.max(row[j + 1]);
         }
     }
-    a[best_end - best_len..best_end].iter().collect()
+    best
 }
 
 /// Whether one string is a strict prefix of the other (in either direction),
@@ -188,40 +142,66 @@ pub fn is_strict_prefix_pair(a: &str, b: &str) -> bool {
     a != b && (a.starts_with(b) || b.starts_with(a))
 }
 
-/// Jaccard similarity of the character trigram sets of `a` and `b`,
-/// in `[0, 1]`. Used as a cheap pre-filter before the quadratic measures.
-pub fn trigram_jaccard(a: &str, b: &str) -> f64 {
-    let grams = |s: &str| -> std::collections::BTreeSet<Vec<char>> {
-        let cs: Vec<char> = s.chars().collect();
-        if cs.len() < 3 {
-            return cs.windows(1).map(|w| w.to_vec()).collect();
-        }
-        cs.windows(3).map(|w| w.to_vec()).collect()
-    };
-    let ga = grams(a);
-    let gb = grams(b);
-    if ga.is_empty() && gb.is_empty() {
-        return 1.0;
+/// Strips all non-alphanumeric characters from a name, the paper's "identical
+/// except for special characters" comparison key (`avast` vs `avast!`).
+pub fn strip_specials(name: &str) -> String {
+    name.chars()
+        .filter(|c| c.is_alphanumeric())
+        .flat_map(char::to_lowercase)
+        .collect()
+}
+
+/// Splits a CPE-style name into its lowercase components.
+///
+/// Separators are whitespace and any non-alphanumeric character (`_`, `-`,
+/// `.`, `!`, …), matching the paper's product-name tokenisation that treats
+/// `internet-explorer`, `internet_explorer`, and `internet explorer` as the
+/// same token sequence.
+///
+/// ```
+/// use nvd_clean::names::text::name_components;
+/// assert_eq!(name_components("internet-explorer"), vec!["internet", "explorer"]);
+/// assert_eq!(name_components("internet_explorer"), vec!["internet", "explorer"]);
+/// assert_eq!(name_components("avast!"), vec!["avast"]);
+/// ```
+pub fn name_components(name: &str) -> Vec<String> {
+    name.split(|c: char| !c.is_alphanumeric())
+        .filter(|part| !part.is_empty())
+        .map(|part| part.chars().flat_map(char::to_lowercase).collect())
+        .collect()
+}
+
+/// The abbreviation of a multi-component name: first character of each
+/// component (`lan_management_system` → `lms`, `internet-explorer` → `ie`).
+/// Returns `None` for names with fewer than two components.
+pub fn abbreviation(name: &str) -> Option<String> {
+    let parts = name_components(name);
+    if parts.len() < 2 {
+        return None;
     }
-    let inter = ga.intersection(&gb).count() as f64;
-    let union = ga.union(&gb).count() as f64;
-    inter / union
+    Some(parts.iter().filter_map(|p| p.chars().next()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The unbounded edit distance, through the banded kernel with a band
+    /// no pair can leave.
+    fn distance(a: &str, b: &str) -> usize {
+        levenshtein_at_most(a, b, a.len().max(b.len())).expect("within the widest band")
+    }
+
     #[test]
     fn levenshtein_known_pairs() {
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("same", "same"), 0);
-        assert_eq!(levenshtein("", ""), 0);
+        assert_eq!(distance("kitten", "sitting"), 3);
+        assert_eq!(distance("flaw", "lawn"), 2);
+        assert_eq!(distance("same", "same"), 0);
+        assert_eq!(distance("", ""), 0);
         // Paper §4.2: cisco firmware names differ by one character yet are
         // different products — the heuristic must still measure distance 1.
         assert_eq!(
-            levenshtein("ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware"),
+            distance("ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware"),
             1
         );
     }
@@ -230,26 +210,27 @@ mod tests {
     fn levenshtein_is_symmetric() {
         let pairs = [("abc", "acb"), ("microsoft", "microsft"), ("", "x")];
         for (a, b) in pairs {
-            assert_eq!(levenshtein(a, b), levenshtein(b, a));
+            assert_eq!(distance(a, b), distance(b, a));
         }
     }
 
     #[test]
     fn levenshtein_at_most_agrees_with_full_distance() {
+        // Full-table distances of each pair; the band must report exactly
+        // these at every k that admits them, and `None` below.
         let cases = [
-            ("kitten", "sitting"),
-            ("flaw", "lawn"),
-            ("same", "same"),
-            ("", ""),
-            ("", "abc"),
-            ("microsoft", "microsft"),
-            ("tbe_banner_engine", "the_banner_engine"),
-            ("ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware"),
-            ("avast", "avast!"),
-            ("脆弱性", "脆弱情報"),
+            ("kitten", "sitting", 3),
+            ("flaw", "lawn", 2),
+            ("same", "same", 0),
+            ("", "", 0),
+            ("", "abc", 3),
+            ("microsoft", "microsft", 1),
+            ("tbe_banner_engine", "the_banner_engine", 1),
+            ("ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware", 1),
+            ("avast", "avast!", 1),
+            ("脆弱性", "脆弱情報", 2),
         ];
-        for (a, b) in cases {
-            let full = levenshtein(a, b);
+        for (a, b, full) in cases {
             for k in 0..6 {
                 assert_eq!(
                     levenshtein_at_most(a, b, k),
@@ -273,31 +254,19 @@ mod tests {
     #[test]
     fn lcs_examples_from_paper() {
         // bea / bea_systems share "bea" (3) → strong signal bucket.
-        assert_eq!(longest_common_substring("bea", "bea_systems"), "bea");
+        assert_eq!(longest_common_substring_len("bea", "bea_systems"), 3);
         assert_eq!(longest_common_substring_len("avast", "avast!"), 5);
         // lms vs lan_management_system share only single characters.
         assert!(longest_common_substring_len("lms", "lan_management_system") < 3);
+        // Multi-byte names are measured in characters, not bytes.
+        assert_eq!(longest_common_substring_len("脆弱性", "脆弱情報"), 2);
     }
 
     #[test]
     fn lcs_empty_and_disjoint() {
-        assert_eq!(longest_common_substring("", "abc"), "");
-        assert_eq!(longest_common_substring("abc", ""), "");
+        assert_eq!(longest_common_substring_len("", "abc"), 0);
+        assert_eq!(longest_common_substring_len("abc", ""), 0);
         assert_eq!(longest_common_substring_len("abc", "xyz"), 0);
-    }
-
-    #[test]
-    fn lcs_is_substring_of_both() {
-        let cases = [
-            ("internet_explorer", "internet-explorer"),
-            ("quick_heal", "quickheal"),
-            ("xyzzy", "zzyx"),
-        ];
-        for (a, b) in cases {
-            let lcs = longest_common_substring(a, b);
-            assert!(a.contains(&lcs), "{lcs:?} not in {a:?}");
-            assert!(b.contains(&lcs), "{lcs:?} not in {b:?}");
-        }
     }
 
     #[test]
@@ -309,11 +278,26 @@ mod tests {
     }
 
     #[test]
-    fn trigram_jaccard_bounds() {
-        assert_eq!(trigram_jaccard("same", "same"), 1.0);
-        assert_eq!(trigram_jaccard("", ""), 1.0);
-        let j = trigram_jaccard("microsoft", "microsft");
-        assert!(j > 0.3 && j < 1.0, "{j}");
-        assert_eq!(trigram_jaccard("abc", "xyz"), 0.0);
+    fn name_component_variants_agree() {
+        let a = name_components("internet-explorer");
+        let b = name_components("internet_explorer");
+        let c = name_components("internet explorer");
+        assert_eq!(a, b);
+        assert_eq!(b, c);
+    }
+
+    #[test]
+    fn strip_specials_examples() {
+        assert_eq!(strip_specials("avast!"), "avast");
+        assert_eq!(strip_specials("bea_systems"), "beasystems");
+        assert_eq!(strip_specials("O'Reilly"), "oreilly");
+    }
+
+    #[test]
+    fn abbreviation_examples() {
+        assert_eq!(abbreviation("lan_management_system").unwrap(), "lms");
+        assert_eq!(abbreviation("internet-explorer").unwrap(), "ie");
+        assert_eq!(abbreviation("tbe_banner_engine").unwrap(), "tbe");
+        assert_eq!(abbreviation("microsoft"), None);
     }
 }

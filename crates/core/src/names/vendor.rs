@@ -27,13 +27,15 @@
 //! per-pair work a delta left untouched, and [`find_vendor_candidates`] is
 //! the same sweep over a fresh cache.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use nvd_model::prelude::{Database, ProductName, VendorName};
-use textkit::distance::{is_strict_prefix_pair, levenshtein_at_most, longest_common_substring_len};
-use textkit::tokenize::{abbreviation, strip_specials};
 
 use super::table::NameTable;
+use super::text::{
+    abbreviation, is_strict_prefix_pair, levenshtein_at_most, longest_common_substring_len,
+    strip_specials,
+};
 
 /// A flagged vendor-name pair with its Table 2 signals.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -318,7 +320,9 @@ fn annotate_pair(
 /// The cache never influences *which* pairs are proposed or how they are
 /// ordered, only whether their per-pair work is recomputed, so a warm
 /// [`find_vendor_candidates_cached`] is bit-identical to a cold one
-/// ([`find_vendor_candidates`]) on the same database.
+/// ([`find_vendor_candidates`]) on the same database. Both layers hold only
+/// the last sweep's keys: edit blocks that sweep did not form are evicted,
+/// and the pair layer is replaced wholesale.
 #[derive(Debug, Clone, Default)]
 pub struct VendorSweepCache {
     edit_blocks: HashMap<String, EditBlockEntry>,
@@ -377,14 +381,16 @@ pub fn find_vendor_candidates_cached(
     let std_blocks = standard_blocks(&table, &products, &norms, &abbrevs);
 
     // Edit blocks: reuse survivors when the member-name list is unchanged.
+    let groups = edit_groups(&table);
     let mut reused: Vec<(u32, u32)> = Vec::new();
-    let mut jobs: Vec<(String, Vec<u32>)> = Vec::new();
-    for (key, group) in edit_groups(&table) {
-        let hit = cache.edit_blocks.get(&key).filter(|e| {
+    let mut jobs: Vec<&(String, Vec<u32>)> = Vec::new();
+    for block in &groups {
+        let (key, group) = block;
+        let hit = cache.edit_blocks.get(key).filter(|e| {
             e.members.len() == group.len()
                 && e.members
                     .iter()
-                    .zip(&group)
+                    .zip(group)
                     .all(|(m, &id)| m == table.name(id).as_str())
         });
         match hit {
@@ -395,7 +401,7 @@ pub fn find_vendor_candidates_cached(
                     reused.push((ia, ib));
                 }
             }
-            None => jobs.push((key, group)),
+            None => jobs.push(block),
         }
     }
 
@@ -409,7 +415,7 @@ pub fn find_vendor_candidates_cached(
         edit_pairs_into(&table, &job.1, &mut out);
         out
     });
-    for ((key, ids), survivors) in jobs.iter().zip(&computed) {
+    for (&(key, ids), survivors) in jobs.iter().zip(&computed) {
         cache.edit_blocks.insert(
             key.clone(),
             EditBlockEntry {
@@ -429,6 +435,10 @@ pub fn find_vendor_candidates_cached(
             },
         );
     }
+    let live: HashSet<&str> = groups.iter().map(|(key, _)| key.as_str()).collect();
+    cache
+        .edit_blocks
+        .retain(|key, _| live.contains(key.as_str()));
 
     let mut pairs: Vec<(u32, u32)> = per_block
         .into_iter()
@@ -669,6 +679,27 @@ mod tests {
             find_vendor_candidates(&db),
             "warm cache diverged on an empty delta"
         );
+    }
+
+    #[test]
+    fn cache_evicts_edit_blocks_the_sweep_no_longer_forms() {
+        // microsoft/microsft form one edit block (shared prefix `micr`).
+        // The same database with both vendors remapped to acme/acmee forms
+        // one different block (`acme`): the cache must hold exactly it.
+        let before = db_with(&[("microsoft", "windows"), ("microsft", "office")]);
+        let mut cache = VendorSweepCache::default();
+        let dirty: BTreeSet<VendorName> = before.vendor_set().into_iter().cloned().collect();
+        find_vendor_candidates_cached(&before, &mut cache, &dirty);
+        assert_eq!(cache.edit_blocks.keys().collect::<Vec<_>>(), ["p:micr"]);
+
+        let after = db_with(&[("acme", "windows"), ("acmee", "office")]);
+        let dirty: BTreeSet<VendorName> = dirty
+            .into_iter()
+            .chain(after.vendor_set().into_iter().cloned())
+            .collect();
+        let warm = find_vendor_candidates_cached(&after, &mut cache, &dirty);
+        assert_eq!(warm, find_vendor_candidates(&after));
+        assert_eq!(cache.edit_blocks.keys().collect::<Vec<_>>(), ["p:acme"]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! regression, RBF support-vector regression, a CNN and a DNN trained with
 //! Adam on an MSE loss), evaluates them with average error / average error
 //! rate / per-class accuracy, and visualises the feature space with PCA
-//! (Fig. 5). §4.4 classifies description embeddings with k-NN. None of that
-//! tooling exists offline, so this crate provides it from scratch:
+//! (Fig. 5). None of that tooling exists offline, so this crate provides it
+//! from scratch:
 //!
 //! * [`matrix`] — dense row-major matrices plus the blocked,
 //!   `minipar`-sharded batched kernels (`matmul`, `matmul_transposed`,
@@ -20,7 +20,6 @@
 //! * [`linear`] — ridge linear regression via normal equations;
 //! * [`svr`] — ε-insensitive SVR with an RBF kernel approximated by random
 //!   Fourier features;
-//! * [`knn`] — brute-force k-nearest-neighbour classification;
 //! * [`nn`] — sequential neural networks (Dense / Conv1D, ReLU / Sigmoid,
 //!   Adam, MSE) matching the paper's two architectures;
 //! * [`pca`] — principal component analysis (paper Fig. 5).
@@ -50,7 +49,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod data;
-pub mod knn;
 pub mod linalg;
 pub mod linear;
 pub mod matrix;
@@ -60,7 +58,6 @@ pub mod pca;
 pub mod svr;
 
 pub use data::{Dataset, StandardScaler, TrainTestSplit};
-pub use knn::KnnClassifier;
 pub use linear::RidgeRegression;
 pub use matrix::Matrix;
 pub use metrics::{accuracy, average_error, average_error_rate, ConfusionMatrix};

@@ -77,6 +77,12 @@ impl Database {
         }
     }
 
+    /// Reserves room for at least `additional` more entries, so the pushes
+    /// that follow do not reallocate the entry storage.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
     /// Looks up an entry by CVE ID.
     pub fn get(&self, id: &CveId) -> Option<&CveEntry> {
         self.index.get(id).map(|&i| &self.entries[i])

@@ -337,6 +337,19 @@ impl<'a> ServeIndex<'a> {
         }
     }
 
+    /// Reserves room for at least `additional` more entries in the
+    /// database and the per-entry columns, so a delta of that many new CVEs
+    /// appends without reallocating them (a clone carries no spare
+    /// capacity).
+    pub fn reserve(&mut self, additional: usize) {
+        self.db.to_mut().reserve(additional);
+        self.ids.reserve(additional);
+        self.projections.reserve(additional);
+        self.date_order.reserve(additional);
+        self.date_ids.reserve(additional);
+        self.dates.reserve(additional);
+    }
+
     /// The served database.
     pub fn database(&self) -> &Database {
         &self.db

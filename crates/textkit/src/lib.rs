@@ -3,35 +3,32 @@
 //! The natural-language-processing substrate for the `nvd-clean` workspace —
 //! the Rust reproduction of *"Cleaning the NVD"* (Anwar et al., DSN 2021).
 //!
-//! The paper's cleaning pipeline leans on NLP in two places:
+//! The paper's §4.4 type-classification experiment embeds CVE
+//! descriptions and classifies them with k-NN (`nvd_analysis::typeclf`).
+//! This crate is its description pipeline: [`preprocess::Preprocessor`], a
+//! single-pass, buffer-reusing implementation of case folding, contraction
+//! expansion, stop-word removal via [`stopwords`], and in-place Porter
+//! stemming via [`stemmer`]; and a 512-dimensional sentence embedding
+//! ([`encoder::SentenceEncoder`], the from-scratch substitute for the
+//! Universal Sentence Encoder). Corpus-scale work goes through
+//! [`encoder::PreprocessedCorpus`]: preprocess once, intern every unique
+//! term once, then fit IDF and encode off cached hashes in parallel.
+//! [`tokenize`](mod@tokenize) is the plain tokeniser the preprocessing
+//! tests compare the single-pass pipeline against.
 //!
-//! * **§4.2 name consolidation** needs string-similarity primitives —
-//!   [`distance::levenshtein`], [`distance::longest_common_substring_len`],
-//!   prefix tests, plus CPE-name tokenisation and abbreviation extraction in
-//!   [`tokenize`](mod@tokenize);
-//! * **§4.4 type classification** needs the description-preprocessing
-//!   pipeline ([`preprocess::Preprocessor`], a single-pass, buffer-reusing
-//!   implementation of case folding, contraction expansion, stop-word
-//!   removal via [`stopwords`], and in-place Porter stemming via
-//!   [`stemmer`]) and a 512-dimensional sentence embedding
-//!   ([`encoder::SentenceEncoder`], the from-scratch substitute for the
-//!   Universal Sentence Encoder). Corpus-scale work goes through
-//!   [`encoder::PreprocessedCorpus`]: preprocess once, intern every unique
-//!   term once, then fit IDF and encode off cached hashes in parallel.
+//! The classifier never rectifies data, so no cleaning or serving crate
+//! depends on this one; the §4.2 name sweeps keep their own string helpers
+//! in `nvd_clean::names::text`.
 //!
-//! Everything is deterministic and dependency-free, so encodings and
-//! similarity scores are reproducible across runs and platforms.
+//! Everything is deterministic and dependency-free, so encodings are
+//! reproducible across runs and platforms.
 //!
 //! ## Example
 //!
 //! ```
-//! use textkit::distance::levenshtein;
 //! use textkit::encoder::{cosine, SentenceEncoder};
 //!
-//! // §4.2: catch the human-error pair the paper cites.
-//! assert_eq!(levenshtein("tbe_banner_engine", "the_banner_engine"), 1);
-//!
-//! // §4.4: lexically similar descriptions embed close together.
+//! // Lexically similar descriptions embed close together.
 //! let enc = SentenceEncoder::default();
 //! let a = enc.encode("SQL injection allows remote attackers to execute commands");
 //! let b = enc.encode("SQL injection lets remote attackers run arbitrary commands");
@@ -41,16 +38,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod distance;
 pub mod encoder;
 pub mod preprocess;
 pub mod stemmer;
 pub mod stopwords;
 pub mod tokenize;
 
-pub use distance::{levenshtein, longest_common_substring, longest_common_substring_len};
 pub use encoder::{cosine, Idf, PreprocessedCorpus, SentenceEncoder, TermInterner};
 pub use preprocess::{preprocess, Preprocessor};
 pub use stemmer::{stem, stem_in_place};
 pub use stopwords::is_stopword;
-pub use tokenize::{abbreviation, name_components, strip_specials, tokenize};
+pub use tokenize::tokenize;

@@ -31,43 +31,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
-/// Splits a CPE-style name into its components.
-///
-/// Separators are whitespace and any non-alphanumeric character (`_`, `-`,
-/// `.`, `!`, …), matching the paper's product-name tokenisation that treats
-/// `internet-explorer`, `internet_explorer`, and `internet explorer` as the
-/// same token sequence.
-///
-/// ```
-/// use textkit::tokenize::name_components;
-/// assert_eq!(name_components("internet-explorer"), vec!["internet", "explorer"]);
-/// assert_eq!(name_components("internet_explorer"), vec!["internet", "explorer"]);
-/// assert_eq!(name_components("avast!"), vec!["avast"]);
-/// ```
-pub fn name_components(name: &str) -> Vec<String> {
-    tokenize(name)
-}
-
-/// Strips all non-alphanumeric characters from a name, the paper's "identical
-/// except for special characters" comparison key (`avast` vs `avast!`).
-pub fn strip_specials(name: &str) -> String {
-    name.chars()
-        .filter(|c| c.is_alphanumeric())
-        .flat_map(|c| c.to_lowercase())
-        .collect()
-}
-
-/// The abbreviation of a multi-component name: first character of each
-/// component (`lan_management_system` → `lms`, `internet-explorer` → `ie`).
-/// Returns `None` for names with fewer than two components.
-pub fn abbreviation(name: &str) -> Option<String> {
-    let parts = name_components(name);
-    if parts.len() < 2 {
-        return None;
-    }
-    Some(parts.iter().filter_map(|p| p.chars().next()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,29 +47,5 @@ mod tests {
     fn tokenize_keeps_digits_and_unicode() {
         assert_eq!(tokenize("CVE-2011-0700"), vec!["cve", "2011", "0700"]);
         assert_eq!(tokenize("脆弱性 情報"), vec!["脆弱性", "情報"]);
-    }
-
-    #[test]
-    fn name_component_variants_agree() {
-        let a = name_components("internet-explorer");
-        let b = name_components("internet_explorer");
-        let c = name_components("internet explorer");
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn strip_specials_examples() {
-        assert_eq!(strip_specials("avast!"), "avast");
-        assert_eq!(strip_specials("bea_systems"), "beasystems");
-        assert_eq!(strip_specials("O'Reilly"), "oreilly");
-    }
-
-    #[test]
-    fn abbreviation_examples() {
-        assert_eq!(abbreviation("lan_management_system").unwrap(), "lms");
-        assert_eq!(abbreviation("internet-explorer").unwrap(), "ie");
-        assert_eq!(abbreviation("tbe_banner_engine").unwrap(), "tbe");
-        assert_eq!(abbreviation("microsoft"), None);
     }
 }

@@ -1,8 +1,8 @@
 //! Determinism tests: every textkit primitive is a pure function, so
-//! repeated calls on fixed inputs must agree exactly — the name-matching and
-//! classification pipelines depend on that for reproducible runs.
+//! repeated calls on fixed inputs must agree exactly — the §4.4
+//! classification experiment depends on that for reproducible runs.
 
-use textkit::distance::{levenshtein, longest_common_substring_len, trigram_jaccard};
+use nvd_synth::{generate, SynthConfig};
 use textkit::encoder::{Idf, PreprocessedCorpus, SentenceEncoder};
 use textkit::preprocess::{preprocess, Preprocessor};
 use textkit::stemmer::stem;
@@ -69,6 +69,24 @@ fn reused_preprocessor_matches_free_function() {
     }
 }
 
+/// Encodes `texts` through the corpus API (one `PreprocessedCorpus` feeding
+/// the IDF fit and the encoding) at `jobs` pool width, and asserts every
+/// row equals the per-call `preprocess`/`add_document`/`encode`
+/// composition.
+fn assert_corpus_matches_per_call(texts: &[&str], dim: usize, jobs: usize) -> Vec<Vec<f64>> {
+    const SEED: u64 = 0x5e17;
+    let batch = minipar::with_jobs(jobs, || {
+        let corpus = PreprocessedCorpus::build(texts.iter().copied(), SEED);
+        let enc = SentenceEncoder::new(dim, SEED).with_idf(Idf::fit_corpus(&corpus));
+        enc.encode_corpus(&corpus)
+    });
+    let per_call = SentenceEncoder::new(dim, SEED).with_idf_corpus(texts.iter().copied());
+    for (i, text) in texts.iter().enumerate() {
+        assert_eq!(batch[i], per_call.encode(text), "doc {i} at jobs {jobs}");
+    }
+    batch
+}
+
 #[test]
 fn corpus_pipeline_is_bit_identical_to_per_call_pipeline() {
     // PreprocessedCorpus + fit_corpus + encode_corpus must reproduce the
@@ -78,51 +96,21 @@ fn corpus_pipeline_is_bit_identical_to_per_call_pipeline() {
         "Buffer overflow in the kernel driver causes local denial of service.",
         "Cross-site scripting in the search form.",
     ];
-    let corpus = PreprocessedCorpus::build(texts.iter().copied(), 0x5e17);
-    let enc = SentenceEncoder::new(128, 0x5e17).with_idf(Idf::fit_corpus(&corpus));
-    let batch = enc.encode_corpus(&corpus);
-    let per_call = SentenceEncoder::new(128, 0x5e17).with_idf_corpus(texts.iter().copied());
-    for (i, text) in texts.iter().enumerate() {
-        assert_eq!(batch[i], per_call.encode(text), "doc {i}");
-    }
-}
+    assert_corpus_matches_per_call(&texts, 128, 1);
 
-#[test]
-fn distances_match_known_values() {
-    // The textbook pair.
-    assert_eq!(levenshtein("kitten", "sitting"), 3);
-    // The paper's §4.2 example: a one-character vendor typo.
-    assert_eq!(levenshtein("schneider_electric", "chneider_electric"), 1);
+    // The same on 256 descriptions of a synthetic corpus (analyst and
+    // evaluator text), and bit-identical at pool widths 1 and 4.
+    let corpus = generate(&SynthConfig::with_scale(0.02, 0xbe9c));
+    let texts: Vec<&str> = corpus
+        .database
+        .iter()
+        .flat_map(|e| e.descriptions.iter().map(|d| d.text.as_str()))
+        .take(256)
+        .collect();
+    assert_eq!(texts.len(), 256);
     assert_eq!(
-        longest_common_substring_len("schneider_electric", "chneider_electric"),
-        17
+        assert_corpus_matches_per_call(&texts, 256, 1),
+        assert_corpus_matches_per_call(&texts, 256, 4),
+        "corpus encode diverged across job counts"
     );
-    assert_eq!(levenshtein("", "abc"), 3);
-    assert_eq!(levenshtein("abc", "abc"), 0);
-    assert_eq!(longest_common_substring_len("abcdef", "zabcy"), 3);
-    assert!((trigram_jaccard("microsoft", "microsoft") - 1.0).abs() < 1e-12);
-}
-
-#[test]
-fn distances_are_symmetric_on_fixed_corpus() {
-    let names = [
-        "microsoft",
-        "micro_soft",
-        "schneider_electric",
-        "lan_management_system",
-        "lms_manager",
-        "hp",
-    ];
-    for a in names {
-        for b in names {
-            assert_eq!(levenshtein(a, b), levenshtein(b, a));
-            assert_eq!(
-                longest_common_substring_len(a, b),
-                longest_common_substring_len(b, a)
-            );
-            let j_ab = trigram_jaccard(a, b);
-            let j_ba = trigram_jaccard(b, a);
-            assert!((j_ab - j_ba).abs() < 1e-12, "{a} vs {b}");
-        }
-    }
 }

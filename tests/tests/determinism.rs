@@ -1,18 +1,21 @@
 //! Determinism: equal seeds reproduce everything bit-for-bit; different
 //! seeds genuinely differ; the blocked §4.2 name-matching engine is pinned
 //! to the legacy serial sweeps (`names_oracle`) on generated corpora, fixed
-//! fixtures and proptest databases; and the §4.1 crawl engine is pinned to
+//! fixtures and proptest databases; the §4.2 string helpers agree with
+//! known values and are symmetric; and the §4.1 crawl engine is pinned to
 //! a serial fetch-and-extract oracle.
 
 use std::collections::BTreeMap;
 
 use nvd_clean::cleaner::Cleaner;
 use nvd_clean::disclosure::{AggregationRule, DisclosureEstimate, DisclosureEstimator};
+use nvd_clean::names::text::{levenshtein_at_most, longest_common_substring_len};
 use nvd_clean::names::{
     find_product_candidates, find_vendor_candidates, NameMapping, OracleVerifier, Verifier,
 };
 use nvd_model::prelude::{CpeName, CveEntry, CveId, Database, Date};
 use nvd_synth::{generate, SynthConfig};
+use nvd_tests::levenshtein;
 use proptest::prelude::*;
 use webarchive::{CrawlerSet, FetchError, WebArchive};
 
@@ -724,4 +727,49 @@ fn scale_controls_size_monotonically() {
         large.database.vendor_set().len() > small.database.vendor_set().len(),
         "vendor universe must scale"
     );
+}
+
+#[test]
+fn distances_match_known_values() {
+    // The textbook pair.
+    assert_eq!(levenshtein("kitten", "sitting"), 3);
+    // The paper's §4.2 example: a one-character vendor typo.
+    assert_eq!(levenshtein("schneider_electric", "chneider_electric"), 1);
+    assert_eq!(
+        levenshtein_at_most("schneider_electric", "chneider_electric", 2),
+        Some(1)
+    );
+    assert_eq!(
+        longest_common_substring_len("schneider_electric", "chneider_electric"),
+        17
+    );
+    assert_eq!(levenshtein("", "abc"), 3);
+    assert_eq!(levenshtein("abc", "abc"), 0);
+    assert_eq!(longest_common_substring_len("abcdef", "zabcy"), 3);
+}
+
+#[test]
+fn distances_are_symmetric_on_fixed_corpus() {
+    let names = [
+        "microsoft",
+        "micro_soft",
+        "schneider_electric",
+        "lan_management_system",
+        "lms_manager",
+        "hp",
+    ];
+    for a in names {
+        for b in names {
+            assert_eq!(levenshtein(a, b), levenshtein(b, a));
+            assert_eq!(
+                levenshtein_at_most(a, b, 2),
+                levenshtein_at_most(b, a, 2),
+                "{a} vs {b}"
+            );
+            assert_eq!(
+                longest_common_substring_len(a, b),
+                longest_common_substring_len(b, a)
+            );
+        }
+    }
 }

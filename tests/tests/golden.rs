@@ -9,12 +9,16 @@
 //!   and the `Debug` rendering of the quality ledger;
 //! - for seed 7, the `ServeIndex` digest over the cleaned corpus with its
 //!   ledger attached, and the checksum of a fixed query sample (mixed
-//!   traffic plus quality lookups and histograms).
+//!   traffic plus quality lookups and histograms);
+//! - for seed 7, the §4.4 description classifier trained with its default
+//!   options on the cleaned corpus — the `Debug` rendering of its report
+//!   followed by its batch predictions over every typed description.
 //!
 //! A change that moves any of these on purpose (a float-stream change in a
 //! model, say) updates the file in the same change and says why. The
 //! failure message prints the recomputed file, ready to paste.
 
+use nvd_analysis::typeclf::{train_type_classifier, TypeClassifierOptions};
 use nvd_clean::cleaner::{CleanOutcome, Cleaner};
 use nvd_clean::names::OracleVerifier;
 use nvd_model::feed::to_feed;
@@ -70,6 +74,18 @@ fn recompute() -> Vec<(String, u64)> {
             );
             let summary = run_workload(&index, &queries);
             digests.push(("serve.seed7.workload".to_string(), summary.checksum));
+
+            let (classifier, report) =
+                train_type_classifier(&out.database, &TypeClassifierOptions::default())
+                    .expect("enough typed entries at scale 0.01");
+            let typed: Vec<&str> = out
+                .database
+                .iter()
+                .filter_map(|e| e.effective_cwe().specific().and(e.primary_description()))
+                .collect();
+            let predictions = classifier.classify_batch(&typed);
+            let rendered = format!("{report:?}{predictions:?}");
+            digests.push(("typeclf.seed7".to_string(), fnv1a(rendered.as_bytes())));
         }
     }
     digests

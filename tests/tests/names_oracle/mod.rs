@@ -9,10 +9,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use nvd_clean::names::text::{
+    abbreviation, is_strict_prefix_pair, longest_common_substring_len, name_components,
+    strip_specials,
+};
 use nvd_clean::names::{NameMapping, ProductCandidate, ProductHeuristic, VendorCandidate};
 use nvd_model::prelude::{Database, ProductName, VendorName};
-use textkit::distance::{is_strict_prefix_pair, levenshtein, longest_common_substring_len};
-use textkit::tokenize::{abbreviation, name_components, strip_specials};
+use nvd_tests::levenshtein;
 
 /// The pre-blocking vendor sweep: proposals accumulate in a
 /// `BTreeSet<(&VendorName, &VendorName)>` and annotation recomputes every

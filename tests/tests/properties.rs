@@ -3,11 +3,12 @@
 use std::sync::OnceLock;
 
 use nvd_clean::extract_cwe_ids;
+use nvd_clean::names::text::{levenshtein_at_most, name_components};
 use nvd_clean::quality::{IssueKind, QualityIssue, QualityLedger, Resolution, ScoreAxis};
 use nvd_model::prelude::*;
 use nvd_serve::{LinearScan, Query, QueryEngine, QueryResult, ServeIndex};
+use nvd_tests::levenshtein;
 use proptest::prelude::*;
-use textkit::distance::{levenshtein, levenshtein_at_most};
 use webarchive::dates::{format_date, parse_date, DateStyle};
 
 fn arb_date() -> impl Strategy<Value = Date> {
@@ -81,6 +82,14 @@ proptest! {
             (full <= k).then_some(full),
             "full distance {} at k={}", full, k
         );
+    }
+
+    #[test]
+    fn name_components_equal_the_description_tokeniser(name in "[a-cA-C0-1 _.!éÉİ脆-]{0,16}") {
+        // The §4.2 sweeps split names with their own copy of the
+        // tokenisation rule textkit applies to descriptions; both must
+        // split and case-fold identically, multi-byte text included.
+        prop_assert_eq!(name_components(&name), textkit::tokenize(&name));
     }
 
     #[test]
