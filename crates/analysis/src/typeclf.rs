@@ -17,7 +17,8 @@ use mlkit::data::stratified_split_indices;
 use mlkit::matrix::Matrix;
 use nvd_model::cwe::CweId;
 use nvd_model::prelude::{CveEntry, Database};
-use textkit::encoder::{Idf, PreprocessedCorpus, SentenceEncoder};
+use textkit::encoder::{Idf, SentenceEncoder};
+use textkit::preprocess::preprocess;
 
 use crate::knn::KnnClassifier;
 
@@ -64,45 +65,39 @@ impl TypeClassifier {
         self.classify_batch(&[description])[0]
     }
 
-    /// Predicts the CWE type of every description at once: the batch is
-    /// preprocessed once into a [`PreprocessedCorpus`], embeddings fan out
-    /// over the `minipar` pool, and the k-NN sweep runs as one batched
-    /// Gram product.
+    /// Predicts the CWE type of every description at once: preprocessing
+    /// and embedding fan out over the `minipar` pool, and the k-NN sweep
+    /// runs as one batched Gram product.
     pub fn classify_batch(&self, descriptions: &[&str]) -> Vec<CweId> {
         if descriptions.is_empty() {
             return Vec::new();
         }
-        let corpus = PreprocessedCorpus::build(descriptions.iter().copied(), self.encoder.seed());
-        let x = embed_corpus(&self.encoder, &corpus);
+        let terms = minipar::par_map(descriptions, |d| preprocess(d));
+        let x = embed(&self.encoder, &terms);
         self.knn
             .predict(&x)
             .into_iter()
             .map(|c| self.classes[c])
             .collect()
     }
-
-    /// Number of distinct types the classifier can emit.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
 }
 
-/// Embeds an already-preprocessed corpus into one flat `n × dim` matrix;
-/// per-document scatter work shards over the `minipar` pool (pure per-item,
-/// so job-count invariant).
+/// Embeds preprocessed documents into one flat `n × dim` matrix;
+/// per-document encoding shards over the `minipar` pool (pure per-item, so
+/// job-count invariant).
 ///
 /// # Panics
 ///
-/// Panics on an empty corpus (callers guard).
-fn embed_corpus(encoder: &SentenceEncoder, corpus: &PreprocessedCorpus) -> Matrix {
-    assert!(!corpus.is_empty(), "non-empty batch");
-    let embedded = encoder.encode_corpus(corpus);
+/// Panics on an empty batch (callers guard).
+fn embed(encoder: &SentenceEncoder, docs: &[Vec<String>]) -> Matrix {
+    assert!(!docs.is_empty(), "non-empty batch");
+    let embedded = minipar::par_map(docs, |doc| encoder.encode_terms(doc));
     let dim = encoder.dim();
-    let mut rows = Vec::with_capacity(corpus.len() * dim);
+    let mut rows = Vec::with_capacity(docs.len() * dim);
     for e in &embedded {
         rows.extend_from_slice(e);
     }
-    Matrix::from_vec(corpus.len(), dim, rows)
+    Matrix::from_vec(docs.len(), dim, rows)
 }
 
 /// Evaluation of the classifier on its held-out split.
@@ -149,35 +144,34 @@ pub fn train_type_classifier(
     let (train_idx, test_idx) =
         stratified_split_indices(&labels, options.test_fraction, options.seed);
 
-    // Preprocess each training description exactly once: the same
-    // PreprocessedCorpus feeds the IDF fit (deterministic parallel
-    // par_fold) and the design-matrix encoding. Entries without a primary
-    // description embed as empty documents but are excluded from the IDF
-    // document population, matching the historical fit.
-    let text_of = |i: usize| typed[i].0.primary_description().unwrap_or_default();
-    let train_corpus =
-        PreprocessedCorpus::build(train_idx.iter().map(|&i| text_of(i)), options.seed);
-    let idf_docs: Vec<usize> = train_idx
-        .iter()
-        .enumerate()
-        .filter(|&(_, &i)| typed[i].0.primary_description().is_some())
-        .map(|(doc, _)| doc)
-        .collect();
-    let encoder = SentenceEncoder::new(options.dim, options.seed)
-        .with_idf(Idf::fit_corpus_docs(&train_corpus, &idf_docs));
+    // Preprocess each training description once, on the pool; the same
+    // term lists feed the IDF fit and the design-matrix encoding. Entries
+    // without a primary description embed as empty documents but are
+    // excluded from the IDF document population.
+    let preprocess_all = |idx: &[usize]| {
+        minipar::par_map(idx, |&i| {
+            preprocess(typed[i].0.primary_description().unwrap_or_default())
+        })
+    };
+    let train_terms = preprocess_all(&train_idx);
+    let mut idf = Idf::new(options.seed);
+    for (&i, terms) in train_idx.iter().zip(&train_terms) {
+        if typed[i].0.primary_description().is_some() {
+            idf.add_document(terms);
+        }
+    }
+    let encoder = SentenceEncoder::new(options.dim, options.seed).with_idf(idf);
 
     // Embeddings fan out over the pool and land in flat design matrices;
     // the held-out evaluation is one batched k-NN sweep.
-    let train_x = embed_corpus(&encoder, &train_corpus);
+    let train_x = embed(&encoder, &train_terms);
     let train_y: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
     let knn = KnnClassifier::fit(train_x, train_y, options.k);
 
     let accuracy = if test_idx.is_empty() {
         0.0
     } else {
-        let test_corpus =
-            PreprocessedCorpus::build(test_idx.iter().map(|&i| text_of(i)), options.seed);
-        let test_x = embed_corpus(&encoder, &test_corpus);
+        let test_x = embed(&encoder, &preprocess_all(&test_idx));
         let pred = knn.predict(&test_x);
         let correct = test_idx
             .iter()

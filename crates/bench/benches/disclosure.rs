@@ -18,7 +18,7 @@ fn fig1_lag_cdf(c: &mut Criterion) {
         })
     });
 
-    // Ablation 1 (DESIGN.md): aggregation rule.
+    // Ablation: aggregation rule.
     let mut group = c.benchmark_group("fig1_aggregation_ablation");
     for (name, rule) in [
         ("minimum", AggregationRule::Minimum),

@@ -26,7 +26,7 @@ fn table2_vendor_patterns(c: &mut Criterion) {
         b.iter(|| PatternBreakdown::tabulate(black_box(&candidates), &confirmed))
     });
 
-    // Ablation 3 (DESIGN.md): the LCS ≥ 3 split threshold.
+    // Ablation: the LCS ≥ 3 split threshold.
     let mut group = c.benchmark_group("table2_lcs_threshold_ablation");
     for threshold in [2usize, 3, 4] {
         group.bench_function(format!("lcs_ge_{threshold}"), |b| {

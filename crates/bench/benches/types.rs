@@ -54,7 +54,7 @@ fn cwe_rectification(c: &mut Criterion) {
 
 fn knn_type_classifier(c: &mut Criterion) {
     let corpus = bench_corpus();
-    // Ablation 5 (DESIGN.md): encoder dimensionality.
+    // Ablation: encoder dimensionality.
     let mut group = c.benchmark_group("knn_type_classifier");
     group.sample_size(10);
     for dim in [128usize, 256, 512] {

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use nvd_model::prelude::{CveId, Database, Date, Severity};
+use nvd_model::prelude::{CveId, Database, Severity};
 use webarchive::{CrawlerSet, WebArchive};
 
 use crate::cwe_fix::CweFixOutcome;
@@ -106,11 +106,6 @@ pub struct CleanOutcome {
 }
 
 impl CleanReport {
-    /// Estimated disclosure date of a CVE, if the pipeline produced one.
-    pub fn estimated_disclosure(&self, id: &CveId) -> Option<Date> {
-        self.disclosure.get(id).map(|e| e.estimated)
-    }
-
     /// The rectified (predicted-or-labelled) v3 severity of a CVE.
     pub fn effective_v3_severity(&self, db: &Database, id: &CveId) -> Option<Severity> {
         self.severity

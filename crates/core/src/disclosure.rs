@@ -23,7 +23,7 @@ use webarchive::{CrawlEngine, CrawlResult, CrawlerSet, WebArchive};
 /// How extracted reference dates are folded into one estimate.
 ///
 /// The paper uses [`Minimum`](AggregationRule::Minimum); the others exist
-/// for the ablation called out in DESIGN.md (§"Design choices").
+/// for the aggregation-rule ablation in `benches/disclosure.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationRule {
     /// Earliest extracted date (the paper's rule).

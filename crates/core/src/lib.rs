@@ -59,7 +59,7 @@ pub use incremental::{
 };
 pub use names::{NameMapping, OracleVerifier, Verifier};
 pub use quality::{
-    CorpusQuality, IssueKind, IssueSeverity, QualityIssue, QualityLedger, QualityScore,
-    QualityStage, Resolution, ScoreAxis,
+    CorpusQuality, IssueKind, IssueSeverity, QualityIssue, QualityLedger, QualityScore, Resolution,
+    ScoreAxis,
 };
 pub use severity::{backport_v3, BackportOptions, BackportOutcome, ModelKind, TrainProfile};

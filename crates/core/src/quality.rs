@@ -6,7 +6,7 @@
 //! detector that emits typed [`QualityIssue`]s — kind, severity,
 //! human-readable evidence, and whether the pipeline auto-fixed the
 //! problem or merely flagged it — into a per-CVE [`QualityLedger`]
-//! through [`QualityStage::emit`], instead of mutating silently.
+//! through [`QualityLedger::assemble`], instead of mutating silently.
 //!
 //! Entries and the corpus are scored on three axes
 //! ([`ScoreAxis::Completeness`], [`ScoreAxis::Consistency`],
@@ -353,59 +353,133 @@ impl CorpusQuality {
     }
 }
 
-/// One cleaning stage viewed as a quality detector: given the cleaned
-/// database and its own outcome, it emits the issues it found (and fixed)
-/// into the ledger. Emission is serial and ordered — `BTreeMap` / database
-/// order only — so the resulting ledger is bit-identical at any
-/// `NVD_JOBS` and across the batch and incremental paths.
-pub trait QualityStage {
-    /// Stable stage name (reporting only).
-    fn stage_name(&self) -> &'static str;
-
-    /// Emits this stage's issues over the cleaned database.
-    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger);
+/// §4.1 as a detector: per-CVE disclosure estimates vs publication dates.
+fn emit_disclosure(
+    cleaned: &Database,
+    estimates: &BTreeMap<CveId, crate::disclosure::DisclosureEstimate>,
+    ledger: &mut QualityLedger,
+) {
+    for entry in cleaned.iter() {
+        let Some(est) = estimates.get(&entry.id) else {
+            continue;
+        };
+        if est.extracted == 0 {
+            ledger.emit(
+                entry.id,
+                QualityIssue::new(
+                    IssueKind::MissingDisclosure,
+                    format!(
+                        "no disclosure evidence: {} references, {} fetched, {} failed, 0 dates extracted",
+                        est.references, est.fetched, est.failed
+                    ),
+                    Resolution::NeedsReview,
+                ),
+            );
+        } else if est.estimated < entry.published {
+            ledger.emit(
+                entry.id,
+                QualityIssue::new(
+                    IssueKind::PublicationLag,
+                    format!(
+                        "NVD publication {} post-dates earliest reference {}",
+                        entry.published, est.estimated
+                    ),
+                    Resolution::AutoFixed {
+                        fix: format!("disclosure estimated as {}", est.estimated),
+                    },
+                ),
+            );
+        }
+    }
 }
 
-/// §4.1 as a detector: per-CVE disclosure estimates vs publication dates.
-#[derive(Debug, Clone, Copy)]
-pub struct DisclosureStage<'a>(
-    /// The per-CVE estimates from [`CleanReport::disclosure`].
-    pub &'a BTreeMap<CveId, crate::disclosure::DisclosureEstimate>,
-);
-
-impl QualityStage for DisclosureStage<'_> {
-    fn stage_name(&self) -> &'static str {
-        "disclosure"
+/// §4.2 as a detector: CVEs whose CPE names the consolidation mapping
+/// rewrote.
+fn emit_names(names: &crate::cleaner::NameReport, ledger: &mut QualityLedger) {
+    let stats = &names.apply_stats;
+    for id in &stats.cves_with_vendor_fixes {
+        ledger.emit(
+            *id,
+            QualityIssue::new(
+                IssueKind::VendorAlias,
+                "CPE vendor field used a non-canonical spelling".to_owned(),
+                Resolution::AutoFixed {
+                    fix: "vendor rewritten to its canonical name".to_owned(),
+                },
+            ),
+        );
     }
+    for id in &stats.cves_with_product_fixes {
+        ledger.emit(
+            *id,
+            QualityIssue::new(
+                IssueKind::ProductAlias,
+                "CPE product field used a non-canonical spelling".to_owned(),
+                Resolution::AutoFixed {
+                    fix: "product rewritten to its canonical name".to_owned(),
+                },
+            ),
+        );
+    }
+}
 
-    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
-        for entry in cleaned.iter() {
-            let Some(est) = self.0.get(&entry.id) else {
-                continue;
-            };
-            if est.extracted == 0 {
+/// §4.4 as a detector: degenerate / missing CWE labels, fixed where the
+/// description mining recovered concrete ids.
+fn emit_cwe(cleaned: &Database, cwe: &crate::cwe_fix::CweFixOutcome, ledger: &mut QualityLedger) {
+    for entry in cleaned.iter() {
+        match entry.effective_cwe() {
+            CweLabel::Other => ledger.emit(
+                entry.id,
+                QualityIssue::new(
+                    IssueKind::DegenerateCwe,
+                    "labelled NVD-CWE-Other; no concrete id minable from the description"
+                        .to_owned(),
+                    Resolution::NeedsReview,
+                ),
+            ),
+            CweLabel::NoInfo | CweLabel::Unassigned => ledger.emit(
+                entry.id,
+                QualityIssue::new(
+                    IssueKind::MissingCwe,
+                    "no usable CWE label; no concrete id minable from the description".to_owned(),
+                    Resolution::NeedsReview,
+                ),
+            ),
+            CweLabel::Specific(_) => {
+                let Some(additions) = cwe.corrections.get(&entry.id) else {
+                    continue;
+                };
+                // The cleaned entry keeps its original labels ahead of
+                // the mined additions, so a surviving degenerate label
+                // tells us what the fix repaired; an entry whose whole
+                // type set is the additions started unassigned-empty.
+                let had_other = entry.cwes.contains(&CweLabel::Other);
+                let had_missing = entry.cwes.contains(&CweLabel::NoInfo)
+                    || entry.cwes.contains(&CweLabel::Unassigned)
+                    || entry.cwes.len() == additions.len();
+                let kind = if had_other {
+                    IssueKind::DegenerateCwe
+                } else if had_missing {
+                    IssueKind::MissingCwe
+                } else {
+                    // Already-typed entry augmented with extra ids:
+                    // an enrichment, not a defect.
+                    continue;
+                };
+                let mined: Vec<String> = additions.iter().map(|id| id.to_string()).collect();
                 ledger.emit(
                     entry.id,
                     QualityIssue::new(
-                        IssueKind::MissingDisclosure,
-                        format!(
-                            "no disclosure evidence: {} references, {} fetched, {} failed, 0 dates extracted",
-                            est.references, est.fetched, est.failed
-                        ),
-                        Resolution::NeedsReview,
-                    ),
-                );
-            } else if est.estimated < entry.published {
-                ledger.emit(
-                    entry.id,
-                    QualityIssue::new(
-                        IssueKind::PublicationLag,
-                        format!(
-                            "NVD publication {} post-dates earliest reference {}",
-                            entry.published, est.estimated
-                        ),
+                        kind,
+                        if had_other {
+                            "labelled NVD-CWE-Other despite the description citing a concrete id"
+                                .to_owned()
+                        } else {
+                            "no usable CWE label despite the description citing a concrete id"
+                                .to_owned()
+                        },
                         Resolution::AutoFixed {
-                            fix: format!("disclosure estimated as {}", est.estimated),
+                            fix: format!("assigned mined {}", mined.join(", ")),
                         },
                     ),
                 );
@@ -414,190 +488,52 @@ impl QualityStage for DisclosureStage<'_> {
     }
 }
 
-/// §4.2 as a detector: CVEs whose CPE names the consolidation mapping
-/// rewrote.
-#[derive(Debug, Clone, Copy)]
-pub struct NamesStage<'a>(
-    /// The name report from [`CleanReport::names`].
-    pub &'a crate::cleaner::NameReport,
-);
-
-impl QualityStage for NamesStage<'_> {
-    fn stage_name(&self) -> &'static str {
-        "names"
-    }
-
-    fn emit(&self, _cleaned: &Database, ledger: &mut QualityLedger) {
-        let stats = &self.0.apply_stats;
-        for id in &stats.cves_with_vendor_fixes {
-            ledger.emit(
-                *id,
-                QualityIssue::new(
-                    IssueKind::VendorAlias,
-                    "CPE vendor field used a non-canonical spelling".to_owned(),
-                    Resolution::AutoFixed {
-                        fix: "vendor rewritten to its canonical name".to_owned(),
-                    },
-                ),
-            );
-        }
-        for id in &stats.cves_with_product_fixes {
-            ledger.emit(
-                *id,
-                QualityIssue::new(
-                    IssueKind::ProductAlias,
-                    "CPE product field used a non-canonical spelling".to_owned(),
-                    Resolution::AutoFixed {
-                        fix: "product rewritten to its canonical name".to_owned(),
-                    },
-                ),
-            );
-        }
-    }
-}
-
-/// §4.4 as a detector: degenerate / missing CWE labels, fixed where the
-/// description mining recovered concrete ids.
-#[derive(Debug, Clone, Copy)]
-pub struct CweStage<'a>(
-    /// The rectification outcome from [`CleanReport::cwe`].
-    pub &'a crate::cwe_fix::CweFixOutcome,
-);
-
-impl QualityStage for CweStage<'_> {
-    fn stage_name(&self) -> &'static str {
-        "cwe"
-    }
-
-    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
-        for entry in cleaned.iter() {
-            match entry.effective_cwe() {
-                CweLabel::Other => ledger.emit(
-                    entry.id,
-                    QualityIssue::new(
-                        IssueKind::DegenerateCwe,
-                        "labelled NVD-CWE-Other; no concrete id minable from the description"
-                            .to_owned(),
-                        Resolution::NeedsReview,
-                    ),
-                ),
-                CweLabel::NoInfo | CweLabel::Unassigned => ledger.emit(
-                    entry.id,
-                    QualityIssue::new(
-                        IssueKind::MissingCwe,
-                        "no usable CWE label; no concrete id minable from the description"
-                            .to_owned(),
-                        Resolution::NeedsReview,
-                    ),
-                ),
-                CweLabel::Specific(_) => {
-                    let Some(additions) = self.0.corrections.get(&entry.id) else {
-                        continue;
-                    };
-                    // The cleaned entry keeps its original labels ahead of
-                    // the mined additions, so a surviving degenerate label
-                    // tells us what the fix repaired; an entry whose whole
-                    // type set is the additions started unassigned-empty.
-                    let had_other = entry.cwes.contains(&CweLabel::Other);
-                    let had_missing = entry.cwes.contains(&CweLabel::NoInfo)
-                        || entry.cwes.contains(&CweLabel::Unassigned)
-                        || entry.cwes.len() == additions.len();
-                    let kind = if had_other {
-                        IssueKind::DegenerateCwe
-                    } else if had_missing {
-                        IssueKind::MissingCwe
-                    } else {
-                        // Already-typed entry augmented with extra ids:
-                        // an enrichment, not a defect.
-                        continue;
-                    };
-                    let mined: Vec<String> = additions.iter().map(|id| id.to_string()).collect();
-                    ledger.emit(
-                        entry.id,
-                        QualityIssue::new(
-                            kind,
-                            if had_other {
-                                "labelled NVD-CWE-Other despite the description citing a concrete id".to_owned()
-                            } else {
-                                "no usable CWE label despite the description citing a concrete id".to_owned()
-                            },
-                            Resolution::AutoFixed {
-                                fix: format!("assigned mined {}", mined.join(", ")),
-                            },
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// §4.3 as a detector: entries without a CVSS v3 vector, auto-fixed where
 /// the backport predicted one.
-#[derive(Debug, Clone, Copy)]
-pub struct SeverityStage<'a>(
-    /// The backport outcome from [`CleanReport::severity`], when it ran.
-    pub Option<&'a crate::severity::BackportOutcome>,
-);
-
-impl QualityStage for SeverityStage<'_> {
-    fn stage_name(&self) -> &'static str {
-        "severity"
-    }
-
-    fn emit(&self, cleaned: &Database, ledger: &mut QualityLedger) {
-        for entry in cleaned.iter() {
-            if entry.has_v3() {
-                continue;
-            }
-            let evidence = if entry.cvss_v2.is_some() {
-                "CVSS v2 vector only; no v3 score recorded".to_owned()
-            } else {
-                "no CVSS vector recorded at all".to_owned()
-            };
-            let resolution = match self.0.and_then(|bp| bp.predicted_severity(&entry.id)) {
-                Some(sev) => Resolution::AutoFixed {
-                    fix: format!("backported v3 severity {sev:?}"),
-                },
-                None => Resolution::NeedsReview,
-            };
-            ledger.emit(
-                entry.id,
-                QualityIssue::new(IssueKind::MissingCvssV3, evidence, resolution),
-            );
+fn emit_severity(
+    cleaned: &Database,
+    severity: Option<&crate::severity::BackportOutcome>,
+    ledger: &mut QualityLedger,
+) {
+    for entry in cleaned.iter() {
+        if entry.has_v3() {
+            continue;
         }
+        let evidence = if entry.cvss_v2.is_some() {
+            "CVSS v2 vector only; no v3 score recorded".to_owned()
+        } else {
+            "no CVSS vector recorded at all".to_owned()
+        };
+        let resolution = match severity.and_then(|bp| bp.predicted_severity(&entry.id)) {
+            Some(sev) => Resolution::AutoFixed {
+                fix: format!("backported v3 severity {sev:?}"),
+            },
+            None => Resolution::NeedsReview,
+        };
+        ledger.emit(
+            entry.id,
+            QualityIssue::new(IssueKind::MissingCvssV3, evidence, resolution),
+        );
     }
 }
 
 /// The ingest quarantine path as a detector: every isolated feed item
 /// becomes a [`IssueKind::Quarantined`] record, keyed by CVE id when the
 /// raw id parses and unkeyed otherwise.
-#[derive(Debug, Clone, Copy)]
-pub struct QuarantineStage<'a>(
-    /// The accumulated quarantine ledger.
-    pub &'a QuarantineLedger,
-);
-
-impl QualityStage for QuarantineStage<'_> {
-    fn stage_name(&self) -> &'static str {
-        "quarantine"
-    }
-
-    fn emit(&self, _cleaned: &Database, ledger: &mut QualityLedger) {
-        for record in self.0.records() {
-            let why = match &record.reason {
-                QuarantineReason::MalformedItem { msg } => {
-                    format!("malformed item in feed {}: {msg}", record.feed)
-                }
-                QuarantineReason::ConflictingDuplicate => {
-                    format!("conflicting duplicate deliveries in feed {}", record.feed)
-                }
-            };
-            let issue = QualityIssue::new(IssueKind::Quarantined, why, Resolution::NeedsReview);
-            match record.raw_id.parse::<CveId>() {
-                Ok(id) => ledger.emit(id, issue),
-                Err(_) => ledger.emit_unkeyed(&record.raw_id, issue),
+fn emit_quarantine(quarantine: &QuarantineLedger, ledger: &mut QualityLedger) {
+    for record in quarantine.records() {
+        let why = match &record.reason {
+            QuarantineReason::MalformedItem { msg } => {
+                format!("malformed item in feed {}: {msg}", record.feed)
             }
+            QuarantineReason::ConflictingDuplicate => {
+                format!("conflicting duplicate deliveries in feed {}", record.feed)
+            }
+        };
+        let issue = QualityIssue::new(IssueKind::Quarantined, why, Resolution::NeedsReview);
+        match record.raw_id.parse::<CveId>() {
+            Ok(id) => ledger.emit(id, issue),
+            Err(_) => ledger.emit_unkeyed(&record.raw_id, issue),
         }
     }
 }
@@ -615,23 +551,21 @@ impl QualityLedger {
     /// Builds the ledger for a cleaned database by running every
     /// stage-detector over the report, in the pipeline's canonical order
     /// (§4.1 disclosure, §4.2 names, §4.4 CWE, §4.3 severity, then the
-    /// ingest quarantine ledger — empty for a batch clean).
+    /// ingest quarantine ledger — empty for a batch clean). Each detector
+    /// emits serially in `BTreeMap` / database order, so the ledger is
+    /// bit-identical at any `NVD_JOBS` and across the batch and incremental
+    /// paths.
     pub fn assemble(
         cleaned: &Database,
         report: &CleanReport,
         quarantine: &QuarantineLedger,
     ) -> Self {
-        let stages: [&dyn QualityStage; 5] = [
-            &DisclosureStage(&report.disclosure),
-            &NamesStage(&report.names),
-            &CweStage(&report.cwe),
-            &SeverityStage(report.severity.as_ref()),
-            &QuarantineStage(quarantine),
-        ];
         let mut ledger = Self::default();
-        for stage in stages {
-            stage.emit(cleaned, &mut ledger);
-        }
+        emit_disclosure(cleaned, &report.disclosure, &mut ledger);
+        emit_names(&report.names, &mut ledger);
+        emit_cwe(cleaned, &report.cwe, &mut ledger);
+        emit_severity(cleaned, report.severity.as_ref(), &mut ledger);
+        emit_quarantine(quarantine, &mut ledger);
         ledger
     }
 

@@ -73,11 +73,6 @@ impl FeatureExtractor {
         }
     }
 
-    /// Mean training v3 score (fallback encoding for unseen types).
-    pub fn global_mean(&self) -> f64 {
-        self.global_mean_v3
-    }
-
     /// Extracts the 13-feature vector for an entry.
     ///
     /// Returns `None` for entries without a v2 vector (nothing to

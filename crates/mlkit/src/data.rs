@@ -39,35 +39,6 @@ impl Dataset {
     pub fn is_empty(&self) -> bool {
         self.y.is_empty()
     }
-
-    /// Extracts the sub-dataset at the given row indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select(&self, indices: &[usize]) -> Dataset {
-        let mut data = Vec::with_capacity(indices.len() * self.x.cols());
-        let mut y = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(self.x.row(i));
-            y.push(self.y[i]);
-        }
-        Dataset::new(Matrix::from_vec(indices.len(), self.x.cols(), data), y)
-    }
-}
-
-/// The result of a train/test split, along with the chosen indices so callers
-/// can slice auxiliary arrays (labels, IDs) consistently.
-#[derive(Debug, Clone)]
-pub struct TrainTestSplit {
-    /// Training partition.
-    pub train: Dataset,
-    /// Held-out test partition.
-    pub test: Dataset,
-    /// Source indices of the training rows.
-    pub train_indices: Vec<usize>,
-    /// Source indices of the test rows.
-    pub test_indices: Vec<usize>,
 }
 
 /// Computes a stratified train/test split: within every stratum the requested
@@ -107,23 +78,6 @@ pub fn stratified_split_indices(
     train.sort_unstable();
     test.sort_unstable();
     (train, test)
-}
-
-/// Splits a [`Dataset`] stratified by the given class labels.
-pub fn stratified_split(
-    dataset: &Dataset,
-    strata: &[usize],
-    test_fraction: f64,
-    seed: u64,
-) -> TrainTestSplit {
-    assert_eq!(dataset.len(), strata.len(), "strata length mismatch");
-    let (train_indices, test_indices) = stratified_split_indices(strata, test_fraction, seed);
-    TrainTestSplit {
-        train: dataset.select(&train_indices),
-        test: dataset.select(&test_indices),
-        train_indices,
-        test_indices,
-    }
 }
 
 /// Per-column standardisation to zero mean and unit variance.
@@ -190,16 +144,6 @@ mod tests {
     fn toy() -> Dataset {
         let x = Matrix::from_rows(&[&[1.0, 10.0], &[2.0, 20.0], &[3.0, 30.0], &[4.0, 40.0]]);
         Dataset::new(x, vec![1.0, 2.0, 3.0, 4.0])
-    }
-
-    #[test]
-    fn select_preserves_rows() {
-        let d = toy();
-        let s = d.select(&[0, 3]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.x.row(0), &[1.0, 10.0]);
-        assert_eq!(s.x.row(1), &[4.0, 40.0]);
-        assert_eq!(s.y, vec![1.0, 4.0]);
     }
 
     #[test]

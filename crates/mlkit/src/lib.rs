@@ -57,7 +57,7 @@ pub mod nn;
 pub mod pca;
 pub mod svr;
 
-pub use data::{Dataset, StandardScaler, TrainTestSplit};
+pub use data::{Dataset, StandardScaler};
 pub use linear::RidgeRegression;
 pub use matrix::Matrix;
 pub use metrics::{accuracy, average_error, average_error_rate, ConfusionMatrix};

@@ -83,11 +83,6 @@ impl Weekday {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Whether this day falls on the weekend.
-    pub fn is_weekend(self) -> bool {
-        matches!(self, Weekday::Saturday | Weekday::Sunday)
-    }
 }
 
 impl fmt::Display for Weekday {

@@ -560,36 +560,6 @@ impl NameUniverse {
         products.last().expect("vendor has products").0.clone()
     }
 
-    /// The alias (if any) a CVE for this vendor should be recorded under,
-    /// given the per-alias share coin flips.
-    pub fn maybe_vendor_alias(
-        &self,
-        rng: &mut StdRng,
-        vendor: &VendorName,
-    ) -> Option<&VendorAlias> {
-        let candidates: Vec<&VendorAlias> = self
-            .vendor_aliases
-            .iter()
-            .filter(|a| a.canonical == *vendor)
-            .collect();
-        candidates.into_iter().find(|a| rng.gen::<f64>() < a.share)
-    }
-
-    /// The alias (if any) a CVE for this vendor+product should use.
-    pub fn maybe_product_alias(
-        &self,
-        rng: &mut StdRng,
-        vendor: &VendorName,
-        product: &ProductName,
-    ) -> Option<&ProductAlias> {
-        let candidates: Vec<&ProductAlias> = self
-            .product_aliases
-            .iter()
-            .filter(|a| a.vendor == *vendor && a.canonical == *product)
-            .collect();
-        candidates.into_iter().find(|a| rng.gen::<f64>() < a.share)
-    }
-
     /// Ground-truth vendor alias → canonical mapping.
     pub fn vendor_alias_map(&self) -> BTreeMap<VendorName, VendorName> {
         self.vendor_aliases

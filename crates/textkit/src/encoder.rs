@@ -21,23 +21,10 @@
 //! (Johnson–Lindenstrauss), so cosine similarity of encodings tracks the
 //! TF(-IDF) similarity of the underlying token multisets — the property the
 //! k-NN type classifier depends on.
-//!
-//! # Corpus-level encoding
-//!
-//! Per-call `encode` re-preprocesses and re-hashes every term occurrence.
-//! For corpus workloads (the type classifier's IDF fit + design-matrix
-//! build) use [`PreprocessedCorpus`]: each description is preprocessed
-//! **once** on a reusable scratch buffer, each unique term is FNV-hashed
-//! **once** by the [`TermInterner`], and each unique adjacent pair gets its
-//! bigram hash computed once — after which IDF fitting
-//! ([`Idf::fit_corpus`], a deterministic `minipar::par_fold`) and encoding
-//! ([`SentenceEncoder::encode_corpus`], a `minipar::par_map`) run off
-//! integer term ids. Feature hashes, counts, and float streams are
-//! bit-identical with the per-call path at every `NVD_JOBS`.
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::preprocess::{preprocess, Preprocessor};
+use crate::preprocess::preprocess;
 
 /// Default embedding width, matching the paper's `1 × 512` USE vectors.
 pub const DEFAULT_DIM: usize = 512;
@@ -102,183 +89,6 @@ pub fn term_features(terms: &[String], seed: u64) -> BTreeMap<u64, f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Term interning
-// ---------------------------------------------------------------------------
-
-/// A term interner and hash cache: every unique term is stored (and
-/// FNV-hashed) exactly once; occurrences are represented as dense `u32` ids.
-#[derive(Debug, Clone, Default)]
-pub struct TermInterner {
-    seed: u64,
-    ids: HashMap<String, u32>,
-    terms: Vec<String>,
-    unigram: Vec<u64>,
-}
-
-impl TermInterner {
-    /// Creates an empty interner hashing under `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            ids: HashMap::new(),
-            terms: Vec::new(),
-            unigram: Vec::new(),
-        }
-    }
-
-    /// Returns the id for `term`, interning (and hashing) it on first sight.
-    pub fn intern(&mut self, term: &str) -> u32 {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
-        }
-        let id = u32::try_from(self.terms.len()).expect("term universe fits in u32");
-        self.ids.insert(term.to_owned(), id);
-        self.terms.push(term.to_owned());
-        self.unigram.push(hash_term(term, self.seed));
-        id
-    }
-
-    /// Number of unique terms interned.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Whether no terms have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// The interned term text.
-    pub fn term(&self, id: u32) -> &str {
-        &self.terms[id as usize]
-    }
-
-    /// The cached unigram feature hash of an interned term.
-    pub fn unigram_hash(&self, id: u32) -> u64 {
-        self.unigram[id as usize]
-    }
-
-    /// The hashing seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-/// A corpus preprocessed exactly once: per-document interned term-id
-/// sequences plus cached unigram and bigram feature hashes.
-///
-/// Build it from raw descriptions, then fit IDF statistics
-/// ([`Idf::fit_corpus`]) and encode design matrices
-/// ([`SentenceEncoder::encode_corpus`]) without touching the original text
-/// again. Both consumers see exactly the feature hashes the per-call
-/// [`SentenceEncoder::encode`] path produces.
-#[derive(Debug, Clone)]
-pub struct PreprocessedCorpus {
-    interner: TermInterner,
-    docs: Vec<Vec<u32>>,
-    /// `(a << 32) | b` → cached incremental bigram hash.
-    bigrams: HashMap<u64, u64>,
-}
-
-impl PreprocessedCorpus {
-    /// Preprocesses every text once (single reusable scratch buffer, no
-    /// per-token allocation) and interns the term stream.
-    pub fn build<'a, I: IntoIterator<Item = &'a str>>(texts: I, seed: u64) -> Self {
-        let mut interner = TermInterner::new(seed);
-        let mut bigrams: HashMap<u64, u64> = HashMap::new();
-        let mut pre = Preprocessor::new();
-        let mut docs = Vec::new();
-        for text in texts {
-            let mut doc: Vec<u32> = Vec::new();
-            pre.for_each_term(text, |t| doc.push(interner.intern(t)));
-            for pair in doc.windows(2) {
-                let key = (u64::from(pair[0]) << 32) | u64::from(pair[1]);
-                bigrams.entry(key).or_insert_with(|| {
-                    hash_term_pair(
-                        interner.term(pair[0]),
-                        interner.term(pair[1]),
-                        seed ^ BIGRAM_SEED_XOR,
-                    )
-                });
-            }
-            docs.push(doc);
-        }
-        Self {
-            interner,
-            docs,
-            bigrams,
-        }
-    }
-
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// Whether the corpus holds no documents.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
-    /// The interned term-id sequence of one document.
-    pub fn doc(&self, index: usize) -> &[u32] {
-        &self.docs[index]
-    }
-
-    /// All documents, in build order.
-    pub fn docs(&self) -> &[Vec<u32>] {
-        &self.docs
-    }
-
-    /// The underlying interner.
-    pub fn interner(&self) -> &TermInterner {
-        &self.interner
-    }
-
-    /// Cached unigram feature hash of a term id.
-    pub fn unigram_hash(&self, id: u32) -> u64 {
-        self.interner.unigram_hash(id)
-    }
-
-    /// Cached bigram feature hash of an adjacent pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair never occurred adjacently in this corpus (all
-    /// occurring pairs are cached at build time).
-    pub fn bigram_hash(&self, a: u32, b: u32) -> u64 {
-        let key = (u64::from(a) << 32) | u64::from(b);
-        *self
-            .bigrams
-            .get(&key)
-            .expect("bigram pair was cached at corpus build")
-    }
-
-    /// The hashing seed.
-    pub fn seed(&self) -> u64 {
-        self.interner.seed()
-    }
-
-    /// Sparse hashed features of one document — bit-identical to
-    /// [`term_features`] over the document's term strings.
-    fn doc_features(&self, doc: &[u32]) -> BTreeMap<u64, f64> {
-        let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
-        for &id in doc {
-            *counts.entry(self.unigram_hash(id)).or_default() += 1;
-        }
-        for pair in doc.windows(2) {
-            *counts
-                .entry(self.bigram_hash(pair[0], pair[1]))
-                .or_default() += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(k, c)| (k, 1.0 + f64::from(c).ln()))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // IDF
 // ---------------------------------------------------------------------------
 
@@ -321,50 +131,6 @@ impl Idf {
         self.scratch.dedup();
         for &h in &self.scratch {
             *self.doc_freq.entry(h).or_default() += 1;
-        }
-    }
-
-    /// Fits IDF statistics over a whole [`PreprocessedCorpus`] in one
-    /// deterministic parallel pass: per-chunk document-frequency maps are
-    /// folded over fixed 128-document chunks and merged in ascending chunk
-    /// order, so the result is identical at every `NVD_JOBS` (and identical
-    /// to serial [`Idf::add_document`] over the same documents).
-    pub fn fit_corpus(corpus: &PreprocessedCorpus) -> Self {
-        let all: Vec<usize> = (0..corpus.len()).collect();
-        Self::fit_corpus_docs(corpus, &all)
-    }
-
-    /// [`Idf::fit_corpus`] restricted to a subset of document indices
-    /// (e.g. only entries that actually carry a description).
-    pub fn fit_corpus_docs(corpus: &PreprocessedCorpus, docs: &[usize]) -> Self {
-        const CHUNK: usize = 128;
-        type Acc = (HashMap<u64, u32>, Vec<u64>);
-        let (doc_freq, _scratch) = minipar::par_fold(
-            docs,
-            CHUNK,
-            || -> Acc { (HashMap::new(), Vec::new()) },
-            |(mut df, mut scratch), &i| {
-                scratch.clear();
-                scratch.extend(corpus.doc(i).iter().map(|&id| corpus.unigram_hash(id)));
-                scratch.sort_unstable();
-                scratch.dedup();
-                for &h in &scratch {
-                    *df.entry(h).or_default() += 1;
-                }
-                (df, scratch)
-            },
-            |(mut a, scratch), (b, _)| {
-                for (h, c) in b {
-                    *a.entry(h).or_default() += c;
-                }
-                (a, scratch)
-            },
-        );
-        Self {
-            doc_count: docs.len(),
-            doc_freq,
-            seed: corpus.seed(),
-            scratch: Vec::new(),
         }
     }
 
@@ -459,14 +225,13 @@ impl SentenceEncoder {
         self
     }
 
-    /// Fits IDF weights on a corpus and returns the reweighting encoder.
-    ///
-    /// Convenience wrapper over [`PreprocessedCorpus::build`] +
-    /// [`Idf::fit_corpus`]; corpus-scale callers should build the corpus
-    /// themselves so the same preprocessing also feeds encoding.
+    /// Fits IDF weights on a corpus (one [`Idf::add_document`] per text)
+    /// and returns the reweighting encoder.
     pub fn with_idf_corpus<'a, I: IntoIterator<Item = &'a str>>(self, corpus: I) -> Self {
-        let pre = PreprocessedCorpus::build(corpus, self.seed);
-        let idf = Idf::fit_corpus(&pre);
+        let mut idf = Idf::new(self.seed);
+        for text in corpus {
+            idf.add_document(&preprocess(text));
+        }
         self.with_idf(idf)
     }
 
@@ -482,39 +247,11 @@ impl SentenceEncoder {
         self.scatter(term_features(terms, self.seed))
     }
 
-    /// Encodes one document of a [`PreprocessedCorpus`] — bit-identical to
-    /// [`SentenceEncoder::encode`] on the original text, but with every
-    /// term hash served from the corpus cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the corpus was built under a different hashing seed.
-    pub fn encode_doc(&self, corpus: &PreprocessedCorpus, index: usize) -> Vec<f64> {
-        assert_eq!(
-            corpus.seed(),
-            self.seed,
-            "corpus seed must match the encoder seed"
-        );
-        self.scatter(corpus.doc_features(corpus.doc(index)))
-    }
-
-    /// Encodes every document of a corpus, fanning the per-document
-    /// scatter work out over the `minipar` pool (pure per-document, so the
-    /// output is bit-identical at any `NVD_JOBS`).
-    pub fn encode_corpus(&self, corpus: &PreprocessedCorpus) -> Vec<Vec<f64>> {
-        assert_eq!(
-            corpus.seed(),
-            self.seed,
-            "corpus seed must match the encoder seed"
-        );
-        minipar::par_map(corpus.docs(), |doc| self.scatter(corpus.doc_features(doc)))
-    }
-
     /// Signed random projection of sparse features into the output space.
     ///
     /// Features are consumed in ascending hash order (the `BTreeMap`
-    /// order), so the floating-point accumulation sequence is fixed — this
-    /// is what keeps per-call and corpus encodings bit-identical.
+    /// order), so the floating-point accumulation sequence is fixed and an
+    /// encoding is bit-identical wherever and on whichever thread it runs.
     fn scatter(&self, features: BTreeMap<u64, f64>) -> Vec<f64> {
         let mut out = vec![0.0f64; self.dim];
         for (feature, tf) in features {
@@ -665,68 +402,6 @@ mod tests {
         let inj = hash_term(&preprocess("injection")[0], 9);
         assert_eq!(idf.doc_freq[&over], 2, "df(overflow)");
         assert_eq!(idf.doc_freq[&inj], 1, "df(injection)");
-    }
-
-    #[test]
-    fn corpus_fit_matches_serial_add_document() {
-        let texts = [
-            "SQL injection in the login form",
-            "buffer overflow in the TIFF decoder",
-            "SQL injection in the search form",
-            "",
-            "use after free in browser engine",
-        ];
-        let corpus = PreprocessedCorpus::build(texts.iter().copied(), 0x5e17);
-        let fitted = Idf::fit_corpus(&corpus);
-        let mut serial = Idf::new(0x5e17);
-        for t in texts {
-            serial.add_document(&preprocess(t));
-        }
-        assert_eq!(fitted.len(), serial.len());
-        assert_eq!(fitted.doc_freq, serial.doc_freq);
-        // And across job counts.
-        let wide = minipar::with_jobs(4, || Idf::fit_corpus(&corpus));
-        assert_eq!(wide.doc_freq, fitted.doc_freq);
-    }
-
-    #[test]
-    fn corpus_encoding_is_bit_identical_to_per_call_encoding() {
-        let texts = [
-            "SQL injection vulnerability in index.php allows remote attackers",
-            "Buffer overflow in the kernel driver causes local denial of service",
-            "It's a cross-site scripting flaw; the attacker can't be remote",
-            "",
-            "脆弱性 identifiers' CWE-89 overlap",
-        ];
-        let corpus = PreprocessedCorpus::build(texts.iter().copied(), 0x5e17);
-        let enc = SentenceEncoder::new(128, 0x5e17).with_idf(Idf::fit_corpus(&corpus));
-        let batch = enc.encode_corpus(&corpus);
-        for (i, text) in texts.iter().enumerate() {
-            assert_eq!(batch[i], enc.encode(text), "doc {i}");
-            assert_eq!(batch[i], enc.encode_doc(&corpus, i), "doc {i}");
-        }
-        // Job-count invariance of the batched path.
-        let wide = minipar::with_jobs(4, || enc.encode_corpus(&corpus));
-        assert_eq!(wide, batch);
-    }
-
-    #[test]
-    fn interner_hashes_each_unique_term_once() {
-        let corpus = PreprocessedCorpus::build(
-            ["overflow overflow overflow", "overflow injection"]
-                .iter()
-                .copied(),
-            3,
-        );
-        // Three occurrences of "overflow" → one interned entry.
-        assert_eq!(corpus.interner().len(), 2);
-        let id = corpus.doc(0)[0];
-        assert_eq!(corpus.interner().term(id), "overflow");
-        assert_eq!(
-            corpus.unigram_hash(id),
-            hash_term("overflow", 3),
-            "cached hash must equal a direct hash"
-        );
     }
 
     #[test]

@@ -5,16 +5,15 @@
 //!
 //! The paper's §4.4 type-classification experiment embeds CVE
 //! descriptions and classifies them with k-NN (`nvd_analysis::typeclf`).
-//! This crate is its description pipeline: [`preprocess::Preprocessor`], a
-//! single-pass, buffer-reusing implementation of case folding, contraction
-//! expansion, stop-word removal via [`stopwords`], and in-place Porter
-//! stemming via [`stemmer`]; and a 512-dimensional sentence embedding
-//! ([`encoder::SentenceEncoder`], the from-scratch substitute for the
-//! Universal Sentence Encoder). Corpus-scale work goes through
-//! [`encoder::PreprocessedCorpus`]: preprocess once, intern every unique
-//! term once, then fit IDF and encode off cached hashes in parallel.
-//! [`tokenize`](mod@tokenize) is the plain tokeniser the preprocessing
-//! tests compare the single-pass pipeline against.
+//! This crate is its description pipeline, one plain composition per step:
+//! [`preprocess()`] runs [`preprocess::expand_contractions`] (case folding
+//! and contraction expansion), [`tokenize()`], stop-word removal via
+//! [`stopwords`] and Porter stemming via [`stemmer`]; a 512-dimensional
+//! sentence embedding ([`encoder::SentenceEncoder`], the from-scratch
+//! substitute for the Universal Sentence Encoder) hashes the terms, with
+//! optional IDF weights ([`encoder::Idf`]) fit one document at a time.
+//! Every function is pure, so corpus-scale callers fan documents out over
+//! any thread pool and get the same bits at any width.
 //!
 //! The classifier never rectifies data, so no cleaning or serving crate
 //! depends on this one; the §4.2 name sweeps keep their own string helpers
@@ -44,8 +43,8 @@ pub mod stemmer;
 pub mod stopwords;
 pub mod tokenize;
 
-pub use encoder::{cosine, Idf, PreprocessedCorpus, SentenceEncoder, TermInterner};
-pub use preprocess::{preprocess, Preprocessor};
-pub use stemmer::{stem, stem_in_place};
+pub use encoder::{cosine, Idf, SentenceEncoder};
+pub use preprocess::preprocess;
+pub use stemmer::stem;
 pub use stopwords::is_stopword;
 pub use tokenize::tokenize;

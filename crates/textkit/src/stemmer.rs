@@ -26,11 +26,9 @@ pub fn stem(word: &str) -> String {
     String::from_utf8(w).expect("ascii in, ascii out")
 }
 
-/// Stems a word in place on its UTF-8 byte buffer — the zero-allocation
-/// entry point the preprocessing pipeline runs on its reusable token
-/// scratch. Words that are too short or not pure lowercase ASCII are left
-/// untouched, exactly like [`stem`].
-pub fn stem_in_place(w: &mut Vec<u8>) {
+/// Stems a word in place on its byte buffer. Words that are too short or
+/// not pure lowercase ASCII are left untouched, exactly like [`stem`].
+fn stem_in_place(w: &mut Vec<u8>) {
     if w.len() <= 2 || !w.iter().all(|b| b.is_ascii_lowercase()) {
         return;
     }

@@ -1,12 +1,13 @@
 //! Tokenisation and case folding.
 
-/// Splits text into lowercase word tokens.
+/// Splits text into lowercase word tokens: the tokenisation step of
+/// [`preprocess`](crate::preprocess::preprocess).
 ///
-/// A token is a maximal run of ASCII alphanumeric characters (non-ASCII
-/// letters are kept too, so Japanese advisory text survives tokenisation);
-/// everything else — punctuation, special characters like `!` or `_`,
-/// whitespace — separates tokens. This implements the paper's "unified the
-/// cases … removed … special characters" preprocessing.
+/// A token is a maximal run of alphanumeric characters, ASCII or not (so
+/// Japanese advisory text survives), folded per character with
+/// `char::to_lowercase`; everything else — punctuation, special characters
+/// like `!` or `_`, whitespace — separates tokens. This implements the
+/// paper's "unified the cases … removed … special characters" step.
 ///
 /// ```
 /// use textkit::tokenize::tokenize;

@@ -3,8 +3,8 @@
 //! classification experiment depends on that for reproducible runs.
 
 use nvd_synth::{generate, SynthConfig};
-use textkit::encoder::{Idf, PreprocessedCorpus, SentenceEncoder};
-use textkit::preprocess::{preprocess, Preprocessor};
+use textkit::encoder::{Idf, SentenceEncoder};
+use textkit::preprocess::preprocess;
 use textkit::stemmer::stem;
 use textkit::tokenize::tokenize;
 
@@ -49,57 +49,27 @@ fn preprocess_is_deterministic() {
     }
 }
 
-#[test]
-fn reused_preprocessor_matches_free_function() {
-    // The scratch-buffer pipeline behind the free function must behave
-    // identically when one Preprocessor instance is reused across many
-    // texts — no state may leak between calls.
-    let texts = [
-        DESCRIPTION,
-        "",
-        "can't won't doesn't",
-        "Buffer overflow (CWE-120) in the TIFF decoder!",
-        "脆弱性 情報 Σίσυφος ΑΣ",
-    ];
-    let mut pre = Preprocessor::new();
-    for text in texts {
-        let mut terms = Vec::new();
-        pre.for_each_term(text, |t| terms.push(t.to_owned()));
-        assert_eq!(terms, preprocess(text), "input {text:?}");
-    }
-}
-
-/// Encodes `texts` through the corpus API (one `PreprocessedCorpus` feeding
-/// the IDF fit and the encoding) at `jobs` pool width, and asserts every
-/// row equals the per-call `preprocess`/`add_document`/`encode`
-/// composition.
-fn assert_corpus_matches_per_call(texts: &[&str], dim: usize, jobs: usize) -> Vec<Vec<f64>> {
+/// The §4.4 embedding as `nvd_analysis::typeclf` runs it, at `jobs` pool
+/// width: preprocess each text on the pool, fit IDF with one serial
+/// `add_document` per text, then encode the term lists on the pool.
+fn encode_with_idf(texts: &[&str], dim: usize, jobs: usize) -> Vec<Vec<f64>> {
     const SEED: u64 = 0x5e17;
-    let batch = minipar::with_jobs(jobs, || {
-        let corpus = PreprocessedCorpus::build(texts.iter().copied(), SEED);
-        let enc = SentenceEncoder::new(dim, SEED).with_idf(Idf::fit_corpus(&corpus));
-        enc.encode_corpus(&corpus)
-    });
-    let per_call = SentenceEncoder::new(dim, SEED).with_idf_corpus(texts.iter().copied());
-    for (i, text) in texts.iter().enumerate() {
-        assert_eq!(batch[i], per_call.encode(text), "doc {i} at jobs {jobs}");
-    }
-    batch
+    minipar::with_jobs(jobs, || {
+        let terms = minipar::par_map(texts, |t| preprocess(t));
+        let mut idf = Idf::new(SEED);
+        for doc in &terms {
+            idf.add_document(doc);
+        }
+        let enc = SentenceEncoder::new(dim, SEED).with_idf(idf);
+        minipar::par_map(&terms, |doc| enc.encode_terms(doc))
+    })
 }
 
 #[test]
 fn corpus_pipeline_is_bit_identical_to_per_call_pipeline() {
-    // PreprocessedCorpus + fit_corpus + encode_corpus must reproduce the
-    // per-call preprocess/add_document/encode composition exactly.
-    let texts = [
-        DESCRIPTION,
-        "Buffer overflow in the kernel driver causes local denial of service.",
-        "Cross-site scripting in the search form.",
-    ];
-    assert_corpus_matches_per_call(&texts, 128, 1);
-
-    // The same on 256 descriptions of a synthetic corpus (analyst and
-    // evaluator text), and bit-identical at pool widths 1 and 4.
+    // An IDF-weighted encode of 256 descriptions of a synthetic corpus
+    // (analyst and evaluator text) must be bit-identical at pool widths 1
+    // and 4, and equal to the serial `with_idf_corpus` + `encode` calls.
     let corpus = generate(&SynthConfig::with_scale(0.02, 0xbe9c));
     let texts: Vec<&str> = corpus
         .database
@@ -108,9 +78,14 @@ fn corpus_pipeline_is_bit_identical_to_per_call_pipeline() {
         .take(256)
         .collect();
     assert_eq!(texts.len(), 256);
+    let serial = encode_with_idf(&texts, 256, 1);
     assert_eq!(
-        assert_corpus_matches_per_call(&texts, 256, 1),
-        assert_corpus_matches_per_call(&texts, 256, 4),
-        "corpus encode diverged across job counts"
+        serial,
+        encode_with_idf(&texts, 256, 4),
+        "IDF-weighted encode diverged across job counts"
     );
+    let per_call = SentenceEncoder::new(256, 0x5e17).with_idf_corpus(texts.iter().copied());
+    for (i, text) in texts.iter().enumerate() {
+        assert_eq!(serial[i], per_call.encode(text), "doc {i}");
+    }
 }

@@ -102,56 +102,6 @@ fn cwe_rectification_is_bit_identical_across_job_counts() {
 }
 
 #[test]
-fn idf_fit_is_bit_identical_across_job_counts() {
-    // The IDF fit is a minipar par_fold over fixed 128-document chunks;
-    // document counts and every weight must be bit-identical at any width
-    // (and identical to the serial add_document fold).
-    use textkit::encoder::{Idf, PreprocessedCorpus};
-    let corpus = generate(&SynthConfig::with_scale(0.01, 4242));
-    let texts: Vec<&str> = corpus
-        .database
-        .iter()
-        .filter_map(|e| e.primary_description())
-        .collect();
-    let pre = PreprocessedCorpus::build(texts.iter().copied(), 0x5e17);
-    // Weight probes: every unigram hash the corpus knows plus one unseen.
-    let probes: Vec<u64> = (0..pre.interner().len() as u32)
-        .map(|id| pre.unigram_hash(id))
-        .chain([0xdead_beef])
-        .collect();
-    let weights_at = |jobs: usize| {
-        minipar::with_jobs(jobs, || {
-            let idf = Idf::fit_corpus(&pre);
-            (
-                idf.len(),
-                probes
-                    .iter()
-                    .map(|&h| idf.weight(h).to_bits())
-                    .collect::<Vec<u64>>(),
-            )
-        })
-    };
-    let serial = weights_at(1);
-    let wide = weights_at(4);
-    assert_eq!(serial.0, wide.0, "document count diverged");
-    assert_eq!(serial.1, wide.1, "IDF weights diverged");
-
-    let mut reference = Idf::new(0x5e17);
-    for t in &texts {
-        reference.add_document(&textkit::preprocess(t));
-    }
-    assert_eq!(reference.len(), serial.0);
-    let ref_weights: Vec<u64> = probes
-        .iter()
-        .map(|&h| reference.weight(h).to_bits())
-        .collect();
-    assert_eq!(
-        ref_weights, serial.1,
-        "parallel fit diverged from serial fold"
-    );
-}
-
-#[test]
 fn name_candidates_are_bit_identical_across_job_counts() {
     // The §4.2 blocked engine fans pair proposal, signal annotation, and
     // the per-vendor product sweeps over minipar; both candidate lists
