@@ -13,7 +13,10 @@
 //! * [`matrix`] — dense row-major matrices plus the blocked,
 //!   `minipar`-sharded batched kernels (`matmul`, `matmul_transposed`,
 //!   `transpose_matmul`, broadcasts) every model trains on — bit-identical
-//!   output at any `NVD_JOBS` setting;
+//!   output at any `NVD_JOBS` setting. The 4 × 8 register-tiled GEMM behind
+//!   `matmul` and `transpose_matmul` also runs as an AVX2 compilation when
+//!   the CPU has it, with the same bits; that call is the crate's one
+//!   `unsafe` block, hence `deny` rather than `forbid(unsafe_code)`;
 //! * [`linalg`] — Cholesky solves and Jacobi symmetric eigendecomposition;
 //! * [`data`] — datasets, stratified train/test splits, standard scaling;
 //! * [`metrics`] — AE, AER, accuracy, confusion matrices (paper Tables 5, 7);
@@ -21,7 +24,8 @@
 //! * [`svr`] — ε-insensitive SVR with an RBF kernel approximated by random
 //!   Fourier features;
 //! * [`nn`] — sequential neural networks (Dense / Conv1D, ReLU / Sigmoid,
-//!   Adam, MSE) matching the paper's two architectures;
+//!   Adam, MSE) matching the paper's two architectures; both layer kinds
+//!   run forward on the tiled `matmul` against transposed weights;
 //! * [`pca`] — principal component analysis (paper Fig. 5).
 //!
 //! Everything is deterministic under a caller-supplied seed, and every
@@ -45,7 +49,7 @@
 //! # Ok::<(), mlkit::linalg::LinalgError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod data;

@@ -16,11 +16,18 @@
 //!   setting, including the inline `jobs = 1` path.
 //! * **Register blocking.** [`Matrix::matmul`] and
 //!   [`Matrix::transpose_matmul`] share one kernel that cuts each band into
-//!   [`ROW_BLOCK`] × 4 output tiles. A tile stays in registers
-//!   for its whole reduction, so the inner loop does 16 independent
+//!   [`ROW_BLOCK`] × 8 output tiles. A tile stays in registers
+//!   for its whole reduction, so the inner loop does 32 independent
 //!   multiply-adds per step and never reloads or stores an output element.
+//! * **Run-time dispatch.** The workspace builds for baseline x86-64, where
+//!   a tile row is four 2-wide SSE2 vectors. On x86-64 the tile kernel is
+//!   compiled a second time with AVX2 enabled (two 4-wide vectors per row)
+//!   and picked when `is_x86_feature_detected!("avx2")` says the CPU has
+//!   it. Both compilations do the same IEEE multiplies and adds in the same
+//!   order, never fused into an FMA, so they agree to the bit.
 //!
-//! No BLAS, no unsafe.
+//! No BLAS. The crate's one `unsafe` is the call into the AVX2 compilation,
+//! guarded by that detection (see `band_kernel`).
 
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
@@ -30,8 +37,8 @@ use std::ops::{Add, Mul, Sub};
 pub const ROW_BLOCK: usize = 4;
 
 /// Output columns per register tile in [`Matrix::matmul`] and
-/// [`Matrix::transpose_matmul`].
-const COL_BLOCK: usize = 4;
+/// [`Matrix::transpose_matmul`]: two AVX2 or four SSE2 vectors per tile row.
+const COL_BLOCK: usize = 8;
 
 /// A dense, row-major `rows × cols` matrix of `f64`.
 ///
@@ -297,11 +304,13 @@ impl Matrix {
     /// Product with a transposed right-hand side: `self · otherᵀ`, where
     /// `other` is `n × k` row-major and `self` is `m × k`.
     ///
-    /// This is the natural layout for dense-layer forward passes
-    /// (`X · Wᵀ` with `W` stored `units × fan_in`) and for Gram/distance
-    /// sweeps: both operands stream row-major, so every dot product is a
-    /// pair of contiguous loads. Row bands shard over `minipar`; each
-    /// element reduces `k` ascending — bit-identical at any job count.
+    /// This is the natural layout for SVR's random-feature lift, PCA
+    /// projections and Gram/distance sweeps: both operands stream
+    /// row-major, so every dot product is a pair of contiguous loads. Row
+    /// bands shard over `minipar`; each element reduces `k` ascending from
+    /// −0.0 (an `Iterator::sum`) — bit-identical at any job count. Dense
+    /// layers do not use it: they keep `Wᵀ` and run the tiled
+    /// [`Matrix::matmul`].
     ///
     /// # Panics
     ///
@@ -450,15 +459,16 @@ impl Matrix {
     /// `minipar`, sized by [`band_count`].
     fn gemm(&mut self, len: usize, a: (&[f64], usize, usize), b: &[f64]) {
         let (rows, n) = (self.rows, self.cols);
+        let kernel = band_kernel();
         let bands = band_count(rows, len.saturating_mul(n));
         let band_rows = rows.div_ceil(bands).div_ceil(ROW_BLOCK) * ROW_BLOCK;
         if bands <= 1 {
-            gemm_band(&mut self.data, n, 0, len, a, b);
+            kernel(&mut self.data, n, 0, len, a, b);
             return;
         }
         minipar::scope(|s| {
             for (bi, band) in self.data.chunks_mut(band_rows * n).enumerate() {
-                s.spawn(move || gemm_band(band, n, bi * band_rows, len, a, b));
+                s.spawn(move || kernel(band, n, bi * band_rows, len, a, b));
             }
         });
     }
@@ -636,6 +646,44 @@ pub(crate) fn band_count(rows: usize, work_per_row: usize) -> usize {
     (total / MIN_TASK_WORK).min(jobs * 4).min(rows).max(1)
 }
 
+/// The signature of [`gemm_band`] and of its AVX2 compilation.
+type BandKernel = fn(&mut [f64], usize, usize, usize, (&[f64], usize, usize), &[f64]);
+
+/// The compilation of [`gemm_band`] this CPU runs fastest: the AVX2 one
+/// when the CPU has AVX2, the baseline one otherwise. std caches the
+/// feature detection, so asking once per product costs one atomic load.
+#[allow(unsafe_code)]
+fn band_kernel() -> BandKernel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return |band, n, i0, len, a, b| {
+                // SAFETY: `gemm_band_avx2`'s only requirement is that the
+                // CPU supports AVX2, and this closure is returned only after
+                // `is_x86_feature_detected!("avx2")` confirmed it does.
+                unsafe { gemm_band_avx2(band, n, i0, len, a, b) }
+            };
+        }
+    }
+    gemm_band
+}
+
+/// [`gemm_band`] compiled with AVX2 enabled. The body is the same
+/// `#[inline(always)]` source, so it does the same multiplies and adds in
+/// the same order; AVX2 only widens each one to four lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_band_avx2(
+    band: &mut [f64],
+    n: usize,
+    i0: usize,
+    len: usize,
+    a: (&[f64], usize, usize),
+    b: &[f64],
+) {
+    gemm_band(band, n, i0, len, a, b);
+}
+
 /// The tiled product kernel behind [`Matrix::matmul`] and
 /// [`Matrix::transpose_matmul`]. It fills `band`, the rows `i0..` of a
 /// row-major output with `n` columns, with `out[i][j] = Σ_k A(i, k) ·
@@ -646,6 +694,7 @@ pub(crate) fn band_count(rows: usize, work_per_row: usize) -> usize {
 /// registers across the whole reduction. Every element starts at 0.0 and
 /// adds its products in ascending `k`, exactly like an unblocked loop, so
 /// tiling and banding never change a bit.
+#[inline(always)]
 fn gemm_band(
     band: &mut [f64],
     n: usize,
@@ -910,6 +959,79 @@ mod tests {
         assert_eq!(serial.0, wide.0, "matmul diverged across job counts");
         assert_eq!(serial.1, wide.1, "matmul_transposed diverged");
         assert_eq!(serial.2, wide.2, "transpose_matmul diverged");
+    }
+
+    /// Values for the kernel parity check: ordinary magnitudes from
+    /// [`probe`], with every fourth element replaced by one of `specials`.
+    fn salted(count: usize, salt: u64, specials: &[f64]) -> Vec<f64> {
+        let plain = probe(1, count.max(1), salt);
+        (0..count)
+            .map(|i| {
+                if i % 4 == (salt as usize) % 4 {
+                    specials[(i / 4 + salt as usize) % specials.len()]
+                } else {
+                    plain.as_slice()[i]
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tile_compilations_agree_bit_for_bit() {
+        let portable: BandKernel = gemm_band;
+        let dispatched = band_kernel();
+        #[cfg(target_arch = "x86_64")]
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("no AVX2 on this CPU: both sides run the portable kernel");
+        }
+        let tiny = 5e-324;
+        let finite = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            2.5e-310,
+            f64::MIN_POSITIVE,
+            1e300,
+            -3.5,
+        ];
+        let special = [
+            0.0,
+            -0.0,
+            tiny,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -2.5e-310,
+        ];
+        // Every small shape, edge tiles included, and the reduction lengths
+        // of the §4.3 CNN's forward (3, 24, 48) and weight-gradient (160,
+        // 352) products.
+        let small = (1..=9)
+            .flat_map(|rows| (1..=17).flat_map(move |n| (0..=5).map(move |len| (rows, n, len))));
+        let cnn = [3, 24, 48, 160, 352]
+            .into_iter()
+            .flat_map(|len| [(4, 8, len), (9, 17, len), (32, 16, len)]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, n, len) in small.chain(cnn) {
+            for (vi, values) in [&finite[..], &special[..]].into_iter().enumerate() {
+                let salt = (rows * 1000 + n * 10 + len) as u64 + vi as u64;
+                let a = salted(rows * len, salt, values);
+                let b = salted(len * n, salt + 1, values);
+                // A read row-major (`matmul`) and transposed (`transpose_matmul`).
+                for (row_stride, k_stride) in [(len, 1), (1, rows)] {
+                    let mut want = vec![f64::NAN; rows * n];
+                    let mut got = vec![f64::NAN; rows * n];
+                    portable(&mut want, n, 0, len, (&a, row_stride, k_stride), &b);
+                    dispatched(&mut got, n, 0, len, (&a, row_stride, k_stride), &b);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{rows}x{len}x{n}, values {vi}, strides ({row_stride}, {k_stride})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,15 @@
 //! Training works on whole minibatches at once, and every layer is one GEMM
 //! on the blocked, `minipar`-sharded kernels of [`crate::matrix`]:
 //!
-//! * a **dense** layer's forward pass is one `X · Wᵀ`
-//!   [`Matrix::matmul_transposed`] plus a bias broadcast; its backward pass
-//!   one `Dᵀ · X` [`Matrix::transpose_matmul`] for the weight gradient and
-//!   one `D · W` [`Matrix::matmul`] for the input gradient;
+//! * a **dense** layer's forward pass is one `X · Wᵀ` product plus a bias
+//!   broadcast. It runs on the tiled [`Matrix::matmul`] kernel against a
+//!   transposed copy of `W` that the workspace refreshes every pass. The
+//!   tile starts each sum at 0.0 where a `dot` starts at −0.0; the two
+//!   differ only on a sum of −0.0 products, and adding the bias (never −0.0:
+//!   it starts at 0.0, and Adam's `b − u` cannot reach −0.0 from 0.0) maps
+//!   both to the same value. The backward pass is one `Dᵀ · X`
+//!   [`Matrix::transpose_matmul`] for the weight gradient and one `D · W`
+//!   [`Matrix::matmul`] for the input gradient;
 //! * a **convolution** is the same GEMM over im2col windows. Activations
 //!   are stored position-major (a sample's row is position 0's channels,
 //!   then position 1's, …), so the window at output position `p` is one
@@ -32,11 +37,14 @@
 //!   `δᵀ · windows` the weight gradient, and `δ · W` the window gradients
 //!   that col2im folds back onto the input.
 //!
-//! Activations, deltas and im2col buffers live in preallocated [`Matrix`]
-//! workspaces, one per batch length, reused across every batch of an epoch
-//! and every chunk of a prediction. Weight-gradient reductions accumulate
-//! samples, then positions, in ascending order, so training is
-//! deterministic under a seed and bit-identical at any `NVD_JOBS` setting.
+//! The first layer's input gradient is never computed: nothing reads it.
+//!
+//! Activations, deltas, transposed weights and im2col buffers live in
+//! preallocated [`Matrix`] workspaces, one per batch length, reused across
+//! every batch of an epoch and every chunk of a prediction. Weight-gradient
+//! reductions accumulate samples, then positions, in ascending order, so
+//! training is deterministic under a seed and bit-identical at any
+//! `NVD_JOBS` setting.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,10 +98,10 @@ enum LayerKind {
 /// Activations are stored **position-major**: a sample's row holds
 /// position 0's channels, then position 1's, and so on (a dense layer's
 /// output is one position of `units` channels). Weights are a [`Matrix`]:
-/// `units × fan_in` for dense layers (so the batched forward pass is a
-/// single `matmul_transposed`), and `filters × (kernel · c_in)` for
+/// `units × fan_in` for dense layers, and `filters × (kernel · c_in)` for
 /// convolutions, where row `f` holds filter `f`'s taps in the same
-/// position-major order as one input window.
+/// position-major order as one input window. Either way the batched forward
+/// pass multiplies by `Wᵀ`.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
     kind: LayerKind,
@@ -110,11 +118,8 @@ struct Im2col {
     /// `(batch · l_out) × (kernel · c_in)`: row `s · l_out + p` is sample
     /// `s`'s input window at output position `p`.
     cols: Matrix,
-    /// The filter bank transposed, `(kernel · c_in) × filters`, refreshed
-    /// by every forward pass so the forward product runs on the tiled
-    /// [`Matrix::matmul`] kernel.
-    weights_t: Matrix,
-    /// ∂L/∂`cols`, folded back onto the input by col2im (training only).
+    /// ∂L/∂`cols`, folded back onto the input by col2im (only when the
+    /// layer's input gradient is computed).
     col_grads: Option<Matrix>,
 }
 
@@ -169,38 +174,46 @@ impl Layer {
     }
 
     /// The im2col buffers this layer needs at a batch length (`None` for
-    /// dense layers, whose input already is their GEMM operand).
-    fn im2col_buffers(&self, batch: usize, training: bool) -> Option<Im2col> {
-        let LayerKind::Conv1d { filters, kernel } = self.kind else {
+    /// dense layers, whose input already is their GEMM operand);
+    /// `input_grad` says whether backward passes compute ∂L/∂input.
+    fn im2col_buffers(&self, batch: usize, input_grad: bool) -> Option<Im2col> {
+        let LayerKind::Conv1d { kernel, .. } = self.kind else {
             return None;
         };
         let rows = batch * self.out_shape.1;
         let width = kernel * self.in_shape.0;
         Some(Im2col {
             cols: Matrix::zeros(rows, width),
-            weights_t: Matrix::zeros(width, filters),
-            col_grads: training.then(|| Matrix::zeros(rows, width)),
+            col_grads: input_grad.then(|| Matrix::zeros(rows, width)),
         })
     }
 
     /// Forward pass over a whole minibatch: `input` is `batch × in_size`,
     /// `output` (overwritten) is `batch × out_size`.
     ///
-    /// Both layer kinds are one GEMM plus a bias broadcast and the
-    /// activation. A convolution first gathers every window of the batch
-    /// into `cols`, so its GEMM yields the `(batch · l_out) × filters`
-    /// position-major output directly.
-    fn forward_batch(&self, input: &Matrix, output: &mut Matrix, im2col: Option<&mut Im2col>) {
+    /// Both layer kinds are one GEMM by `weights_t`, which this pass
+    /// overwrites with `Wᵀ`, plus a bias broadcast and the activation. A
+    /// convolution first gathers every window of the batch into `cols`, so
+    /// its GEMM yields the `(batch · l_out) × filters` position-major output
+    /// directly.
+    fn forward_batch(
+        &self,
+        input: &Matrix,
+        output: &mut Matrix,
+        weights_t: &mut Matrix,
+        im2col: Option<&mut Im2col>,
+    ) {
         let batch = input.rows();
-        match im2col {
-            None => input.matmul_transposed_into(&self.weights, output),
+        self.weights.transpose_into(weights_t);
+        let gemm_input = match im2col {
+            None => input,
             Some(buf) => {
                 self.im2col(input, &mut buf.cols);
-                self.weights.transpose_into(&mut buf.weights_t);
                 output.reshape(buf.cols.rows(), self.weights.rows());
-                buf.cols.matmul_into(&buf.weights_t, output);
+                &buf.cols
             }
-        }
+        };
+        gemm_input.matmul_into(weights_t, output);
         output.add_broadcast(&self.biases);
         let act = self.activation;
         output.map_in_place(|x| act.apply(x));
@@ -240,8 +253,8 @@ impl Layer {
     ///
     /// On entry `delta` holds ∂L/∂(activated output); this routine folds the
     /// activation derivative in place, then overwrites `grad_w`/`grad_b`
-    /// with the batch-summed parameter gradients and `grad_in` with
-    /// ∂L/∂input. Viewing δ as `(batch · positions) × units`, the bias
+    /// with the batch-summed parameter gradients and `grad_in`, when given,
+    /// with ∂L/∂input. Viewing δ as `(batch · positions) × units`, the bias
     /// gradient is its column sums, the weight gradient one
     /// `δᵀ · X` [`Matrix::transpose_matmul`] (`X` = the input, or a
     /// convolution's `cols`), and the input gradient one `δ · W`
@@ -254,7 +267,7 @@ impl Layer {
         input: &Matrix,
         output: &Matrix,
         delta: &mut Matrix,
-        grad_in: &mut Matrix,
+        grad_in: Option<&mut Matrix>,
         grad_w: &mut Matrix,
         grad_b: &mut [f64],
         im2col: Option<&mut Im2col>,
@@ -273,13 +286,20 @@ impl Layer {
         match im2col {
             None => {
                 delta.transpose_matmul_into(input, grad_w);
-                delta.matmul_into(&self.weights, grad_in);
+                if let Some(grad_in) = grad_in {
+                    delta.matmul_into(&self.weights, grad_in);
+                }
             }
             Some(buf) => {
-                let col_grads = buf.col_grads.as_mut().expect("training im2col buffers");
                 delta.transpose_matmul_into(&buf.cols, grad_w);
-                delta.matmul_into(&self.weights, col_grads);
-                self.col2im(col_grads, grad_in);
+                if let Some(grad_in) = grad_in {
+                    let col_grads = buf
+                        .col_grads
+                        .as_mut()
+                        .expect("input-gradient im2col buffers");
+                    delta.matmul_into(&self.weights, col_grads);
+                    self.col2im(col_grads, grad_in);
+                }
             }
         }
         delta.reshape(batch, self.out_size());
@@ -396,9 +416,15 @@ impl AdamState {
         }
     }
 
-    fn update(&mut self, params: &mut [f64], grads: &[f64], cfg: &TrainConfig, t: f64) {
-        let bc1 = 1.0 - cfg.beta1.powf(t);
-        let bc2 = 1.0 - cfg.beta2.powf(t);
+    /// One Adam step; `(bc1, bc2)` are the step's bias corrections
+    /// `1 − β₁ᵗ` and `1 − β₂ᵗ`, shared by every parameter vector.
+    fn update(
+        &mut self,
+        params: &mut [f64],
+        grads: &[f64],
+        cfg: &TrainConfig,
+        (bc1, bc2): (f64, f64),
+    ) {
         for i in 0..params.len() {
             let g = grads[i];
             self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g;
@@ -411,17 +437,20 @@ impl AdamState {
 }
 
 /// Preallocated per-batch matrices: `acts[0]` is the gathered input batch,
-/// `acts[i + 1]` the activations of layer `i`, and `im2col[i]` layer `i`'s
-/// convolution buffers. A training workspace also holds `deltas`, which
-/// mirrors `acts` (`deltas[i + 1]` holds ∂L/∂(activated output of layer
-/// `i`), `deltas[0]` receives the unused input gradient), and the
-/// convolutions' window gradients. One workspace exists per distinct
-/// batch length — at most two per fit or prediction (full batches plus the
-/// tail) — so no training step or prediction chunk allocates.
+/// `acts[i + 1]` the activations of layer `i`, `weights_t[i]` layer `i`'s
+/// weights transposed (`fan_in × units`, refreshed by every forward pass)
+/// and `im2col[i]` layer `i`'s convolution buffers. A training workspace
+/// also holds `deltas`, which mirrors `acts` (`deltas[i + 1]` holds
+/// ∂L/∂(activated output of layer `i`); `deltas[0]` is never written,
+/// because the network's input gradient is not computed), and the window
+/// gradients of every convolution but the first. One workspace exists per
+/// distinct batch length — at most two per fit or prediction (full batches
+/// plus the tail) — so no training step or prediction chunk allocates.
 #[derive(Debug)]
 struct Workspace {
     acts: Vec<Matrix>,
     deltas: Vec<Matrix>,
+    weights_t: Vec<Matrix>,
     im2col: Vec<Option<Im2col>>,
 }
 
@@ -433,9 +462,14 @@ impl Workspace {
         Self {
             acts: matrices(),
             deltas: if training { matrices() } else { Vec::new() },
+            weights_t: layers
+                .iter()
+                .map(|l| Matrix::zeros(l.weights.cols(), l.weights.rows()))
+                .collect(),
             im2col: layers
                 .iter()
-                .map(|l| l.im2col_buffers(batch, training))
+                .enumerate()
+                .map(|(li, l)| l.im2col_buffers(batch, training && li > 0))
                 .collect(),
         }
     }
@@ -444,12 +478,18 @@ impl Workspace {
     fn forward(&mut self, layers: &[Layer]) {
         for (li, layer) in layers.iter().enumerate() {
             let (head, tail) = self.acts.split_at_mut(li + 1);
-            layer.forward_batch(&head[li], &mut tail[0], self.im2col[li].as_mut());
+            layer.forward_batch(
+                &head[li],
+                &mut tail[0],
+                &mut self.weights_t[li],
+                self.im2col[li].as_mut(),
+            );
         }
     }
 
     /// Backpropagates the output delta in `deltas[layers.len()]` through
-    /// every layer, overwriting the per-layer parameter gradients.
+    /// every layer, overwriting the per-layer parameter gradients. Layer 0's
+    /// input gradient is skipped: nothing reads it.
     fn backward(&mut self, layers: &[Layer], grad_w: &mut [Matrix], grad_b: &mut [Vec<f64>]) {
         for li in (0..layers.len()).rev() {
             let (d_head, d_tail) = self.deltas.split_at_mut(li + 1);
@@ -457,7 +497,7 @@ impl Workspace {
                 &self.acts[li],
                 &self.acts[li + 1],
                 &mut d_tail[0],
-                &mut d_head[li],
+                (li > 0).then(|| &mut d_head[li]),
                 &mut grad_w[li],
                 &mut grad_b[li],
                 self.im2col[li].as_mut(),
@@ -622,14 +662,15 @@ impl Network {
                 }
                 ws.backward(&self.layers, &mut grad_w, &mut grad_b);
                 step += 1.0;
+                let bias_correction = (1.0 - cfg.beta1.powf(step), 1.0 - cfg.beta2.powf(step));
                 for (li, layer) in self.layers.iter_mut().enumerate() {
                     adam_w[li].update(
                         layer.weights.as_mut_slice(),
                         grad_w[li].as_slice(),
                         cfg,
-                        step,
+                        bias_correction,
                     );
-                    adam_b[li].update(&mut layer.biases, &grad_b[li], cfg, step);
+                    adam_b[li].update(&mut layer.biases, &grad_b[li], cfg, bias_correction);
                 }
             }
             epoch_losses.push(epoch_loss / (n as f64 / full as f64).max(1.0));
@@ -647,6 +688,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::dot;
 
     #[test]
     fn shapes_propagate_through_builder() {
@@ -1095,8 +1137,9 @@ mod tests {
         let x_cm = batch_to_channel_major(&x, c_in, l_in);
 
         let mut im2col = layer.im2col_buffers(batch, true);
+        let mut weights_t = Matrix::zeros(kernel * c_in, filters);
         let mut out = Matrix::zeros(batch, layer.out_size());
-        layer.forward_batch(&x, &mut out, im2col.as_mut());
+        layer.forward_batch(&x, &mut out, &mut weights_t, im2col.as_mut());
         let mut want_out = Matrix::zeros(batch, layer.out_size());
         for s in 0..batch {
             reference.forward_row(x_cm.row(s), want_out.row_mut(s));
@@ -1114,7 +1157,7 @@ mod tests {
             &x,
             &out,
             &mut delta,
-            &mut grad_in,
+            Some(&mut grad_in),
             &mut grad_w,
             &mut grad_b,
             im2col.as_mut(),
@@ -1134,6 +1177,74 @@ mod tests {
         assert_close("grad_b", &grad_b, &want_gb);
         let grad_in_cm = batch_to_channel_major(&grad_in, c_in, l_in);
         assert_close("grad_in", grad_in_cm.as_slice(), want_gi.as_slice());
+    }
+
+    /// The dense forward pass the tiled `X · Wᵀ` path replaced, kept as an
+    /// oracle: every output is `act(dot(x, w) + b)`, where `dot` sums from
+    /// −0.0 (the tile sums from 0.0).
+    fn dense_reference_forward(layer: &Layer, input: &Matrix) -> Matrix {
+        let mut out = input.matmul_transposed(&layer.weights);
+        out.add_broadcast(&layer.biases);
+        let act = layer.activation;
+        out.map_in_place(|x| act.apply(x));
+        out
+    }
+
+    #[test]
+    fn dense_forward_matches_dot_reference_bit_for_bit() {
+        let activations = [Activation::Linear, Activation::Relu, Activation::Sigmoid];
+        // (fan_in, units, batch): the severity DNN's and CNN head's shapes
+        // plus edge tiles in every dimension.
+        let shapes = [
+            (1, 1, 1),
+            (13, 16, 32),
+            (5, 17, 7),
+            (80, 32, 32),
+            (32, 1, 9),
+        ];
+        for (ai, &activation) in activations.iter().enumerate() {
+            for (si, &(fan_in, units, batch)) in shapes.iter().enumerate() {
+                let seed = (ai * 10 + si) as u64;
+                let mut layer = Layer::dense((1, fan_in), units, activation);
+                layer.init(&mut StdRng::seed_from_u64(seed));
+                // Unit 0's weights are all negative and unit 1's all
+                // positive; biases include +0.0.
+                for w in layer.weights.row_mut(0) {
+                    *w = -w.abs() - 0.01;
+                }
+                if units > 1 {
+                    for w in layer.weights.row_mut(1) {
+                        *w = w.abs() + 0.01;
+                    }
+                }
+                layer.biases = (0..units).map(|u| 0.25 * (u % 5) as f64 - 0.5).collect();
+                layer.biases[0] = 0.0;
+                let mut x = random_matrix(batch, fan_in, seed + 100);
+                // Row 0 is +0.0 inputs against unit 0's negative weights, and
+                // the last row −0.0 inputs against unit 1's positive ones:
+                // both dots are an exact −0.0, which the tile sums to +0.0.
+                let negative_zero = (-0.0f64).to_bits();
+                x.row_mut(0).fill(0.0);
+                assert_eq!(dot(x.row(0), layer.weights.row(0)).to_bits(), negative_zero);
+                if batch > 1 && units > 1 {
+                    x.row_mut(batch - 1).fill(-0.0);
+                    let last = x.row(batch - 1);
+                    assert_eq!(dot(last, layer.weights.row(1)).to_bits(), negative_zero);
+                }
+
+                let want = dense_reference_forward(&layer, &x);
+                let mut got = Matrix::zeros(batch, units);
+                let mut weights_t = Matrix::zeros(fan_in, units);
+                layer.forward_batch(&x, &mut got, &mut weights_t, None);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{activation:?} {fan_in} -> {units}, batch {batch}"
+                );
+            }
+        }
     }
 
     #[test]
